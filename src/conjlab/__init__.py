@@ -5,9 +5,7 @@ that repeatedly strips block initiators and singletons and re-inserts
 them as singletons and block terminators.  Composing it with the
 relabelling ``x -> n+1-x`` gives a conjugation that interchanges the
 singleton count with the cyclic-adjacency count.  Restricted to
-noncrossing partitions it coincides with the Kreweras complement, and on
-"staircase" partitions it reduces to conjugation of integer
-compositions, interchanging the statistics mu and nu.
+noncrossing partitions it coincides with the Kreweras complement.
 """
 
 from .compositions import (
@@ -50,7 +48,6 @@ from .noncrossing import (
     find_crossing,
     format_gaps,
     graphical_conjugate,
-    graphical_phi,
     is_noncrossing,
     kreweras_complement,
     rotate_partition,
@@ -59,7 +56,6 @@ from .partition import (
     EMPTY,
     AdjacencyProfile,
     SetPartition,
-    Support,
     adjacency_profile,
     canonicalize,
     complement,
@@ -98,7 +94,6 @@ __all__ = [
     "ROLE_ST",
     "SeparationRecord",
     "SetPartition",
-    "Support",
     "VerifyReport",
     "adjacency_profile",
     "bell_number",
@@ -119,7 +114,6 @@ __all__ = [
     "format_partition",
     "from_subset",
     "graphical_conjugate",
-    "graphical_phi",
     "inferred_n",
     "is_noncrossing",
     "iter_compositions",

@@ -50,7 +50,6 @@ from .noncrossing import (
     find_crossing,
     format_gaps,
     graphical_conjugate,
-    graphical_phi,
     is_noncrossing,
     kreweras_complement,
 )
@@ -150,19 +149,18 @@ def cmd_kreweras(args, use_json: bool) -> int:
         )
         return EXIT_DOMAIN
     kc = kreweras_complement(p)
-    gp = graphical_phi(p)
     gc = graphical_conjugate(p)
     payload = {
         "input": partition_to_blocks(p),
         "kreweras": partition_to_blocks(kc),
         "kreweras_primed": format_gaps(kc),
-        "phi": partition_to_blocks(gp),
+        "phi": partition_to_blocks(kc),
         "conjugate": partition_to_blocks(gc),
     }
     text = "\n".join(
         [
             f"kreweras: {format_gaps(kc)}",
-            f"phi: {format_partition(gp)}",
+            f"phi: {format_partition(kc)}",
             f"conjugate: {format_partition(gc)}",
         ]
     )

@@ -193,7 +193,7 @@ def parse_composition(text: str) -> Composition:
         raise ParseError("empty composition")
     parts = []
     for tok in tokens:
-        if not tok.isdigit() or int(tok) < 1:
+        if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
             raise ParseError(f"bad part {tok!r}")
         parts.append(int(tok))
     return Composition(tuple(parts))

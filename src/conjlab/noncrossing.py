@@ -64,7 +64,8 @@ def kreweras_complement(p: SetPartition) -> SetPartition:
     Requires supp(p) = {1..n} and p noncrossing.  The scan tracks, for the
     innermost open block, how many of its elements have been consumed; gap
     i lands in the pocket keyed by that pair, or in the outer region when
-    no block is open.
+    no block is open.  It equals phi(p), an independent computation that
+    the tests and verify check it against.
     """
     n = len(p.support)
     if n == 0:
@@ -92,15 +93,6 @@ def kreweras_complement(p: SetPartition) -> SetPartition:
         regions.setdefault(key, []).append(x)
     out = sorted(tuple(g) for g in regions.values())
     return SetPartition(tuple(out))
-
-
-def graphical_phi(p: SetPartition) -> SetPartition:
-    """Kreweras complement with gaps relabelled i' -> i.
-
-    On noncrossing partitions this coincides with phi; the agreement of
-    the two independent computations is checked exhaustively in the tests.
-    """
-    return kreweras_complement(p)
 
 
 def graphical_conjugate(p: SetPartition) -> SetPartition:

@@ -21,36 +21,6 @@ from .errors import DomainError, InvalidPartitionError, ParseError
 
 
 @dataclass(frozen=True)
-class Support:
-    """A finite set of positive integers with cyclic successor/predecessor."""
-
-    elements: tuple[int, ...]
-
-    @cached_property
-    def _succ(self) -> dict[int, int]:
-        e = self.elements
-        n = len(e)
-        return {x: e[(i + 1) % n] for i, x in enumerate(e)} if n else {}
-
-    @cached_property
-    def _pred(self) -> dict[int, int]:
-        e = self.elements
-        return {x: e[i - 1] for i, x in enumerate(e)}
-
-    def succ(self, x: int) -> int:
-        return self._succ[x]
-
-    def pred(self, x: int) -> int:
-        return self._pred[x]
-
-    def __contains__(self, x: int) -> bool:
-        return x in self._succ
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
 class SetPartition:
     """A canonical set partition.
 
@@ -211,7 +181,7 @@ def parse_partition(text: str) -> SetPartition:
             raise ParseError(f"empty block in {text!r}")
         blk = []
         for tok in tokens:
-            if not tok.isdigit() or int(tok) < 1:
+            if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
                 raise ParseError(f"bad element {tok!r}")
             x = int(tok)
             if x in seen:
@@ -225,10 +195,6 @@ def parse_partition(text: str) -> SetPartition:
 
 
 def partition_to_blocks(p: SetPartition) -> list[list[int]]:
-    """Structured form used by the JSON output mode."""
+    """Structured form used by the JSON output mode; canonicalize reads it back."""
     return [list(blk) for blk in p.blocks]
 
-
-def partition_from_blocks(data: Iterable[Iterable[int]]) -> SetPartition:
-    """Inverse of partition_to_blocks (validates)."""
-    return canonicalize(data)

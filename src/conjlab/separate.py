@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CombineDomainError
-from .partition import EMPTY, SetPartition, Support, adjacency_profile, format_partition
+from .partition import EMPTY, SetPartition, adjacency_profile, format_partition
 
 ROLE_IS = "IS"
 ROLE_ST = "ST"
@@ -111,7 +111,6 @@ def _combine(rho: SetPartition, a_set, b_set, with_succ: bool) -> SetPartition:
     universe = sorted(set(rho.support) | a_set | b_set)
     if not universe:
         return EMPTY
-    sup = Support(tuple(universe))
     parent = {x: x for x in universe}
 
     def find(x):
@@ -124,12 +123,11 @@ def _combine(rho: SetPartition, a_set, b_set, with_succ: bool) -> SetPartition:
         first = blk[0]
         for x in blk[1:]:
             parent[find(x)] = find(first)
-    if with_succ:
-        for x in sorted(a_set):
-            parent[find(x)] = find(sup.succ(x))
-    else:
-        for x in sorted(b_set):
-            parent[find(x)] = find(sup.pred(x))
+    # The cyclic neighbour of universe[i] is universe[i + step], wrapping.
+    moving, step = (a_set, 1) if with_succ else (b_set, -1)
+    for i, x in enumerate(universe):
+        if x in moving:
+            parent[find(x)] = find(universe[(i + step) % len(universe)])
     groups: dict[int, list[int]] = {}
     for x in universe:
         groups.setdefault(find(x), []).append(x)

@@ -12,10 +12,16 @@ plain dicts, so they can run in worker processes and merge by
 conjunction.  Reports are byte-identical regardless of the job count:
 shards are merged in prefix order and the first counterexample in
 enumeration order is kept.
+
+Each family (partitions, compositions) has one invariant table listing
+(id, scope, largest n) rows in report order; the scope string and the
+examined-item count of every row derive from it.  Adding an invariant
+takes one table row plus its check (a _fail call in the sweep).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import random
@@ -92,8 +98,12 @@ class CheckResult:
     invariant: str
     scope: str
     items: int
-    ok: bool
+    failures: int  # failing items; 0 on pass
     counterexample: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.failures == 0
 
 
 @dataclass(frozen=True)
@@ -123,6 +133,7 @@ class VerifyReport:
                 "scope": r.scope,
                 "items": r.items,
                 "status": "pass" if r.ok else "fail",
+                "failures": r.failures,
                 "counterexample": r.counterexample,
             }
             for r in self.results
@@ -149,12 +160,9 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _fail(fails: dict, inv: str, ce: str) -> None:
-    got = fails.get(inv)
-    if got is None:
-        fails[inv] = [1, ce]
-    else:
-        got[0] += 1
+def _fail(fails: dict, inv: str, ce: str | None, count: int = 1) -> None:
+    """Tally count failures of inv, keeping the first counterexample."""
+    fails.setdefault(inv, [0, ce])[0] += count
 
 
 def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
@@ -241,6 +249,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
                 back = separate_is(combine_is(rec))
                 if (back.rho, back.a_set, back.b_set) != (rec.rho, rec.a_set, rec.b_set):
                     _fail(fails, "trace-record-inverse", f"{text} j={row.j}")
+                    break
             for idx in range(len(rows) - 1):
                 tau_j = rows[idx].tau  # j = k - idx
                 tau_prev = rows[idx + 1].tau  # j - 1
@@ -253,6 +262,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
                     or back.b_set != frow.singletons
                 ):
                     _fail(fails, "reverse-phase-exactness", f"{text} j={j}")
+                    break
         nc = is_noncrossing(p)
         core = reduce_core(p)
         if nc != (core == EMPTY):
@@ -306,34 +316,6 @@ def _union_maximal(p: SetPartition, gaps: SetPartition) -> tuple[bool, str]:
                     f"gap blocks {kblocks[i]} and {kblocks[j]} merge without crossing"
                 )
     return True, ""
-
-
-def theorem_sweep(n: int, prefix: tuple[int, ...] = ()) -> dict:
-    """Lean shard: only the headline theorems, for big opt-in runs.
-
-    Per partition: statistic interchange under phi, conjugate involution
-    (which certifies bijectivity), support preservation.  Returns counts
-    and failures like partition_shard but skips everything else.
-    """
-    fails: dict[str, list] = {}
-    count = 0
-    full = tuple(range(1, n + 1))
-    for p in iter_set_partitions(n, prefix):
-        count += 1
-        prof = adjacency_profile(p)
-        q = phi(p)
-        if q.support != full:
-            _fail(fails, "phi-support-preserved", f"n={n} p={format_partition(p)}")
-        qprof = adjacency_profile(q)
-        if (
-            qprof.singletons != prof.initiators
-            or qprof.terminators != prof.singletons
-        ):
-            _fail(fails, "phi-statistic-interchange", f"n={n} p={format_partition(p)}")
-        cq = complement(q, n)
-        if complement(phi(cq), n) != p:
-            _fail(fails, "conjugate-involution", f"n={n} p={format_partition(p)}")
-    return {"count": count, "fails": fails}
 
 
 def composition_sweep(n: int) -> dict:
@@ -403,13 +385,13 @@ def composition_sweep(n: int) -> dict:
     return {"count": count, "fails": fails, "dist": dist}
 
 
-def _fixed_checks() -> list[CheckResult]:
-    """Small pinned cases that do not scale with the sweep bounds."""
-    results = []
+def _fixed_checks(fails: dict) -> list[tuple[str, str, int]]:
+    """Small pinned cases that do not scale with the sweep bounds.
 
+    Failures go into fails; returns the (id, scope, items) rows.
+    """
     # Round trips over every partition of every small sparse support.
     items = 0
-    bad = None
     supports = [()]
     for x in range(1, 9):
         supports += [s + (x,) for s in supports if len(s) < 6]
@@ -422,21 +404,11 @@ def _fixed_checks() -> list[CheckResult]:
                 and phi_inverse(phi(p)) == p
                 and phi(p).support == p.support
             )
-            if not ok and bad is None:
-                bad = f"support={supp} p={format_partition(p)}"
-    results.append(
-        CheckResult(
-            "subset-support-roundtrip",
-            "partitions of every support within [8], size <= 6",
-            items,
-            bad is None,
-            bad,
-        )
-    )
+            if not ok:
+                _fail(fails, "subset-support-roundtrip", f"support={supp} p={format_partition(p)}")
 
     # Randomized sparse supports, deterministic seed.
     rng = random.Random(SPARSE_SEED)
-    bad = None
     for _ in range(SPARSE_TRIALS):
         size = rng.randint(1, 60)
         supp = tuple(sorted(rng.sample(range(1, 61), size)))
@@ -451,21 +423,11 @@ def _fixed_checks() -> list[CheckResult]:
             and q.support == p.support
             and phi_inverse(q) == p
         )
-        if not ok and bad is None:
-            bad = f"support={supp} p={format_partition(p)}"
-    results.append(
-        CheckResult(
-            "sparse-random-spot",
-            f"{SPARSE_TRIALS} random partitions, supports within [60]",
-            SPARSE_TRIALS,
-            bad is None,
-            bad,
-        )
-    )
+        if not ok:
+            _fail(fails, "sparse-random-spot", f"support={supp} p={format_partition(p)}")
 
     # One-element support: the element is initiator, terminator and
     # singleton at once, and counts one adjacency.
-    bad = None
     for a in (1, 7, 60):
         p = SetPartition(((a,),))
         prof = adjacency_profile(p)
@@ -479,17 +441,8 @@ def _fixed_checks() -> list[CheckResult]:
         )
         if a == 1:
             ok = ok and conjugate(p, 1) == p
-        if not ok and bad is None:
-            bad = f"a={a}"
-    results.append(
-        CheckResult(
-            "one-element-convention",
-            "supports {1}, {7}, {60}",
-            3,
-            bad is None,
-            bad,
-        )
-    )
+        if not ok:
+            _fail(fails, "one-element-convention", f"a={a}")
 
     # n=1 composition: (mu, nu) = (0, 1) and conjugation does NOT swap.
     c1 = Composition((1,))
@@ -502,15 +455,8 @@ def _fixed_checks() -> list[CheckResult]:
         and conj_stats != (stats[1], stats[0])
         and (mu_path(to_path(c1)), nu_path(to_path(c1))) == (0, 0)
     )
-    results.append(
-        CheckResult(
-            "mu-nu-n1-exception",
-            "the single composition of 1",
-            1,
-            ok,
-            None if ok else f"stats={stats} conj_stats={conj_stats}",
-        )
-    )
+    if not ok:
+        _fail(fails, "mu-nu-n1-exception", f"stats={stats} conj_stats={conj_stats}")
 
     # Empty partition is a fixed point everywhere it is legal.
     prof = adjacency_profile(EMPTY)
@@ -525,61 +471,84 @@ def _fixed_checks() -> list[CheckResult]:
         and format_partition(EMPTY) == ""
         and parse_partition("") == EMPTY
     )
-    results.append(
-        CheckResult(
-            "empty-partition-fixed-point",
-            "the empty partition",
-            1,
-            ok,
-            None,
-        )
-    )
-    return results
+    if not ok:
+        _fail(fails, "empty-partition-fixed-point", None)
+    return [
+        ("subset-support-roundtrip", "partitions of every support within [8], size <= 6", items),
+        (
+            "sparse-random-spot",
+            f"{SPARSE_TRIALS} random partitions, supports within [60]",
+            SPARSE_TRIALS,
+        ),
+        ("one-element-convention", "supports {1}, {7}, {60}", 3),
+        ("mu-nu-n1-exception", "the single composition of 1", 1),
+        ("empty-partition-fixed-point", "the empty partition", 1),
+    ]
 
 
-# (invariant id, scope kind) in report order.  Kinds pick the scope
-# string and the examined-item count at merge time.
-_PARTITION_REGISTRY: tuple[tuple[str, str], ...] = (
-    ("balance", "all"),
-    ("parse-format-roundtrip", "parse"),
-    ("complement-involution", "all"),
-    ("complement-role-swap", "all"),
-    ("separate-records-in-domain", "all"),
-    ("separate-combine-roundtrip", "all"),
-    ("combine-domain-role-symmetry", "all"),
-    ("phi-support-preserved", "all"),
-    ("phi-statistic-interchange", "all"),
-    ("phi-inverse-identity", "all"),
-    ("phi-injective-image", "image"),
-    ("phi-trace-agreement", "trace"),
-    ("reverse-phase-exactness", "trace"),
-    ("trace-record-inverse", "trace"),
-    ("conjugate-involution", "all"),
-    ("conjugate-interchange", "all"),
-    ("nc-core-characterization", "all"),
-    ("nc-closure", "nc"),
-    ("nc-graphical-phi", "nc"),
-    ("nc-graphical-conjugate", "nc"),
-    ("nc-conjugation-involution", "nc"),
-    ("kreweras-double-rotation", "nc"),
-    ("kreweras-union-maximal", "nc-union"),
-    ("sing-adj-distribution-symmetric", "per-n"),
-    ("enum-bell-count", "per-n"),
-    ("enum-catalan-count", "per-n"),
+# Scopes: (text before the bound, per-n tally that each n adds to the
+# item count, least n).  A None tally counts the n itself.
+_PARTITIONS = ("partitions of [n], ", "count", 1)
+_NONCROSSING = ("noncrossing partitions, ", "nc", 1)
+_COMPOSITIONS = ("compositions of ", "count", 1)
+_COMPOSITIONS_2 = ("compositions of ", "count", 2)
+_EACH = ("each ", None, 1)
+_EACH_2 = ("each ", None, 2)
+
+# (invariant id, scope, largest n) in report order.
+_PARTITION_TABLE = (
+    ("balance", _PARTITIONS, N_MAX_HARD),
+    ("parse-format-roundtrip", _PARTITIONS, PARSE_CAP),
+    ("complement-involution", _PARTITIONS, N_MAX_HARD),
+    ("complement-role-swap", _PARTITIONS, N_MAX_HARD),
+    ("separate-records-in-domain", _PARTITIONS, N_MAX_HARD),
+    ("separate-combine-roundtrip", _PARTITIONS, N_MAX_HARD),
+    ("combine-domain-role-symmetry", _PARTITIONS, N_MAX_HARD),
+    ("phi-support-preserved", _PARTITIONS, N_MAX_HARD),
+    ("phi-statistic-interchange", _PARTITIONS, N_MAX_HARD),
+    ("phi-inverse-identity", _PARTITIONS, N_MAX_HARD),
+    ("phi-injective-image", _PARTITIONS, IMAGE_CAP),
+    ("phi-trace-agreement", _PARTITIONS, TRACE_CAP),
+    ("reverse-phase-exactness", _PARTITIONS, TRACE_CAP),
+    ("trace-record-inverse", _PARTITIONS, TRACE_CAP),
+    ("conjugate-involution", _PARTITIONS, N_MAX_HARD),
+    ("conjugate-interchange", _PARTITIONS, N_MAX_HARD),
+    ("nc-core-characterization", _PARTITIONS, N_MAX_HARD),
+    ("nc-closure", _NONCROSSING, N_MAX_HARD),
+    ("nc-graphical-phi", _NONCROSSING, N_MAX_HARD),
+    ("nc-graphical-conjugate", _NONCROSSING, N_MAX_HARD),
+    ("nc-conjugation-involution", _NONCROSSING, N_MAX_HARD),
+    ("kreweras-double-rotation", _NONCROSSING, N_MAX_HARD),
+    ("kreweras-union-maximal", _NONCROSSING, UNION_CAP),
+    ("sing-adj-distribution-symmetric", _EACH, N_MAX_HARD),
+    ("enum-bell-count", _EACH, N_MAX_HARD),
+    ("enum-catalan-count", _EACH, N_MAX_HARD),
 )
 
-_COMPOSITION_REGISTRY: tuple[tuple[str, str], ...] = (
-    ("comp-conjugate-involution", "all"),
-    ("comp-length-law", "all"),
-    ("comp-strip-agreement", "all"),
-    ("comp-mu-nu-interchange", "n2"),
-    ("comp-path-agreement", "n2"),
-    ("comp-path-flip-duality", "n2"),
-    ("comp-sorted-palindrome", "palindrome"),
-    ("comp-subset-lex-order", "subset-lex"),
-    ("mu-nu-distribution-symmetric", "per-n2"),
-    ("enum-composition-count", "per-n"),
+_COMPOSITION_TABLE = (
+    ("comp-conjugate-involution", _COMPOSITIONS, COMP_N_MAX_HARD),
+    ("comp-length-law", _COMPOSITIONS, COMP_N_MAX_HARD),
+    ("comp-strip-agreement", _COMPOSITIONS, COMP_N_MAX_HARD),
+    ("comp-mu-nu-interchange", _COMPOSITIONS_2, COMP_N_MAX_HARD),
+    ("comp-path-agreement", _COMPOSITIONS_2, COMP_N_MAX_HARD),
+    ("comp-path-flip-duality", _COMPOSITIONS_2, COMP_N_MAX_HARD),
+    ("comp-sorted-palindrome", _COMPOSITIONS, PALINDROME_CAP),
+    ("comp-subset-lex-order", _COMPOSITIONS, SUBSET_LEX_CAP),
+    ("mu-nu-distribution-symmetric", _EACH_2, COMP_N_MAX_HARD),
+    ("enum-composition-count", _EACH, COMP_N_MAX_HARD),
 )
+
+
+def _table_rows(table, tallies: dict[int, dict], n_max: int) -> list[tuple[str, str, int]]:
+    """(id, scope string, items) for each row of an invariant table;
+    tallies maps each n to its sweep totals."""
+    rows = []
+    for inv, (text, tally, least), cap in table:
+        hi = min(n_max, cap)
+        low = f"{least} <= " if least > 1 else ""
+        items = sum(tallies[n][tally] if tally else 1 for n in range(least, hi + 1))
+        rows.append((inv, f"{text}{low}n <= {hi}", items))
+    return rows
 
 
 def _shards_for(n: int, jobs: int) -> list[tuple[int, ...]]:
@@ -613,134 +582,48 @@ def verify_suite(n_max: int = 10, comp_n_max: int = 16, jobs: int = 1) -> Verify
     fails: dict[str, list] = {}
     per_n: dict[int, dict] = {}
     for (n, _prefix), out in zip(tasks, shard_outs):
-        agg = per_n.setdefault(
-            n, {"count": 0, "nc": 0, "dist": {}, "image": set() if out["image"] is not None else None}
-        )
+        agg = per_n.setdefault(n, {"count": 0, "nc": 0, "dist": Counter(), "image": set()})
         agg["count"] += out["count"]
         agg["nc"] += out["nc"]
-        for key, v in out["dist"].items():
-            agg["dist"][key] = agg["dist"].get(key, 0) + v
-        if agg["image"] is not None:
-            agg["image"].update(out["image"])
+        agg["dist"].update(out["dist"])
+        agg["image"].update(out["image"] or ())
         for inv, (cnt, ce) in out["fails"].items():
-            _merge_fail(fails, inv, cnt, ce)
+            _fail(fails, inv, ce, cnt)
 
-    total = sum(agg["count"] for agg in per_n.values())
-    total_nc = sum(agg["nc"] for agg in per_n.values())
-    for n in range(1, n_max + 1):
-        agg = per_n[n]
+    for n, agg in per_n.items():
         if agg["count"] != bell_number(n):
-            _merge_fail(
-                fails, "enum-bell-count", 1, f"n={n} count={agg['count']} expected={bell_number(n)}"
-            )
+            _fail(fails, "enum-bell-count", f"n={n} count={agg['count']} expected={bell_number(n)}")
         if agg["nc"] != catalan_number(n):
-            _merge_fail(
-                fails,
-                "enum-catalan-count",
-                1,
-                f"n={n} count={agg['nc']} expected={catalan_number(n)}",
+            _fail(
+                fails, "enum-catalan-count", f"n={n} count={agg['nc']} expected={catalan_number(n)}"
             )
-        if agg["image"] is not None and len(agg["image"]) != agg["count"]:
-            _merge_fail(
-                fails,
-                "phi-injective-image",
-                1,
-                f"n={n} image={len(agg['image'])} of {agg['count']}",
+        if n <= IMAGE_CAP and len(agg["image"]) != agg["count"]:
+            _fail(
+                fails, "phi-injective-image", f"n={n} image={len(agg['image'])} of {agg['count']}"
             )
-        asym = next(
-            (
-                (s, t)
-                for (s, t), v in sorted(agg["dist"].items())
-                if agg["dist"].get((t, s), 0) != v
-            ),
-            None,
-        )
+        dist = agg["dist"]
+        asym = next(((s, t) for (s, t), v in sorted(dist.items()) if dist[t, s] != v), None)
         if asym is not None:
-            _merge_fail(
+            _fail(
                 fails,
                 "sing-adj-distribution-symmetric",
-                1,
-                f"n={n} pair {asym}: {agg['dist'].get(asym)} vs "
-                f"{agg['dist'].get((asym[1], asym[0]), 0)}",
+                f"n={n} pair {asym}: {dist[asym]} vs {dist[asym[1], asym[0]]}",
             )
 
-    comp_outs = [composition_sweep(n) for n in range(1, comp_n_max + 1)]
-    comp_total = sum(out["count"] for out in comp_outs)
-    for out in comp_outs:
+    comp_outs = {n: composition_sweep(n) for n in range(1, comp_n_max + 1)}
+    for out in comp_outs.values():
         for inv, (cnt, ce) in out["fails"].items():
-            _merge_fail(fails, inv, cnt, ce)
+            _fail(fails, inv, ce, cnt)
 
-    parse_items = sum(per_n[n]["count"] for n in per_n if n <= PARSE_CAP)
-    trace_items = sum(per_n[n]["count"] for n in per_n if n <= TRACE_CAP)
-    image_items = sum(per_n[n]["count"] for n in per_n if n <= IMAGE_CAP)
-    union_items = sum(per_n[n]["nc"] for n in per_n if n <= UNION_CAP)
-    comp_n2 = comp_total - 1  # all but the single composition of 1
-
-    def scope_items(kind: str) -> tuple[str, int]:
-        if kind == "all":
-            return f"partitions of [n], n <= {n_max}", total
-        if kind == "parse":
-            hi = min(n_max, PARSE_CAP)
-            return f"partitions of [n], n <= {hi}", parse_items
-        if kind == "trace":
-            hi = min(n_max, TRACE_CAP)
-            return f"partitions of [n], n <= {hi}", trace_items
-        if kind == "image":
-            hi = min(n_max, IMAGE_CAP)
-            return f"partitions of [n], n <= {hi}", image_items
-        if kind == "nc":
-            return f"noncrossing partitions, n <= {n_max}", total_nc
-        if kind == "nc-union":
-            hi = min(n_max, UNION_CAP)
-            return f"noncrossing partitions, n <= {hi}", union_items
-        if kind == "per-n":
-            return f"each n <= {n_max}", n_max
-        raise AssertionError(kind)
-
-    def comp_scope_items(kind: str) -> tuple[str, int]:
-        if kind == "all":
-            return f"compositions of n <= {comp_n_max}", comp_total
-        if kind == "n2":
-            return f"compositions of 2 <= n <= {comp_n_max}", comp_n2
-        if kind == "palindrome":
-            hi = min(comp_n_max, PALINDROME_CAP)
-            return f"compositions of n <= {hi}", sum(
-                out["count"] for n, out in enumerate(comp_outs, start=1) if n <= hi
-            )
-        if kind == "subset-lex":
-            hi = min(comp_n_max, SUBSET_LEX_CAP)
-            return f"compositions of n <= {hi}", sum(
-                out["count"] for n, out in enumerate(comp_outs, start=1) if n <= hi
-            )
-        if kind == "per-n":
-            return f"each n <= {comp_n_max}", comp_n_max
-        if kind == "per-n2":
-            return f"each 2 <= n <= {comp_n_max}", comp_n_max - 1
-        raise AssertionError(kind)
-
-    results = []
-    for inv, kind in _PARTITION_REGISTRY:
-        scope, items = scope_items(kind)
-        got = fails.get(inv)
-        results.append(
-            CheckResult(inv, scope, items, got is None, got[1] if got else None)
-        )
-    for inv, kind in _COMPOSITION_REGISTRY:
-        scope, items = comp_scope_items(kind)
-        got = fails.get(inv)
-        results.append(
-            CheckResult(inv, scope, items, got is None, got[1] if got else None)
-        )
-    results.extend(_fixed_checks())
-    return VerifyReport(n_max, comp_n_max, tuple(results))
-
-
-def _merge_fail(fails: dict, inv: str, cnt: int, ce: str) -> None:
-    got = fails.get(inv)
-    if got is None:
-        fails[inv] = [cnt, ce]
-    else:
-        got[0] += cnt
+    rows = (
+        _table_rows(_PARTITION_TABLE, per_n, n_max)
+        + _table_rows(_COMPOSITION_TABLE, comp_outs, comp_n_max)
+        + _fixed_checks(fails)
+    )
+    results = tuple(
+        CheckResult(inv, scope, items, *fails.get(inv, (0, None))) for inv, scope, items in rows
+    )
+    return VerifyReport(n_max, comp_n_max, results)
 
 
 def _shard_entry(task: tuple[int, tuple[int, ...]]) -> dict:

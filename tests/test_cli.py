@@ -4,9 +4,8 @@ import sys
 
 import pytest
 
-from conjlab import parse_partition, phi
+from conjlab import ParseError, canonicalize, parse_composition, parse_partition, phi
 from conjlab.cli import main
-from conjlab.partition import partition_from_blocks
 
 
 def run_cli(capsys, *argv):
@@ -223,13 +222,41 @@ class TestErrorPaths:
         assert exc.value.code == 1
 
 
+# str.isdigit() accepts these, and int() rejects the first two and reads
+# the last as 1.
+NON_ASCII_DIGITS = [
+    pytest.param(parse_partition, ["phi"], "1 \u00b2", id="phi-superscript"),
+    pytest.param(parse_partition, ["phi"], "\u0661 - 2", id="phi-arabic-indic"),
+    pytest.param(parse_composition, ["comp", "conjugate"], "2,\u00b3", id="comp-superscript"),
+    pytest.param(parse_composition, ["comp", "conjugate"], "\u0661,2", id="comp-arabic-indic"),
+]
+
+
+class TestNonAsciiDigits:
+    @pytest.mark.parametrize("parse, argv, text", NON_ASCII_DIGITS)
+    def test_library_raises_parse_error(self, parse, argv, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+    @pytest.mark.parametrize("parse, argv, text", NON_ASCII_DIGITS)
+    def test_cli_exits_one_without_traceback(self, parse, argv, text):
+        proc = subprocess.run(
+            [sys.executable, "-m", "conjlab", *argv, text],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("conjlab: error:")
+        assert "Traceback" not in proc.stderr
+
+
 class TestJsonMode:
     def test_phi_roundtrip(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "phi", "1 3 - 2")
         assert code == 0
         data = json.loads(out)
-        assert partition_from_blocks(data["input"]) == parse_partition("1 3 - 2")
-        assert partition_from_blocks(data["result"]) == phi(parse_partition("1 3 - 2"))
+        assert canonicalize(data["input"]) == parse_partition("1 3 - 2")
+        assert canonicalize(data["result"]) == phi(parse_partition("1 3 - 2"))
 
     def test_flag_after_subcommand(self, capsys):
         code, out, _ = run_cli(capsys, "phi", "--json", "1 3 - 2")

@@ -12,7 +12,6 @@ from conjlab import (
     find_crossing,
     format_gaps,
     graphical_conjugate,
-    graphical_phi,
     is_noncrossing,
     kreweras_complement,
     parse_partition,
@@ -131,7 +130,7 @@ class TestKrewerasComplement:
 
 class TestGraphicalForms:
     def test_figure_phi_and_conjugate(self):
-        assert graphical_phi(FIGURE) == P("1 2 3 4 - 5 7 - 6 - 8")
+        assert kreweras_complement(FIGURE) == P("1 2 3 4 - 5 7 - 6 - 8")
         assert graphical_conjugate(FIGURE) == P("1 - 2 4 - 3 - 5 6 7 8")
 
     def test_single_block(self):
@@ -141,7 +140,7 @@ class TestGraphicalForms:
     def test_agree_with_iterative_forms(self, n):
         for p in all_partitions(n):
             if is_noncrossing(p):
-                assert graphical_phi(p) == phi(p)
+                assert kreweras_complement(p) == phi(p)
                 assert graphical_conjugate(p) == conjugate(p, n)
 
     @pytest.mark.parametrize("n", range(1, 9))

@@ -6,7 +6,6 @@ from conjlab import (
     InvalidPartitionError,
     ParseError,
     SetPartition,
-    Support,
     adjacency_profile,
     canonicalize,
     complement,
@@ -14,7 +13,7 @@ from conjlab import (
     inferred_n,
     parse_partition,
 )
-from conjlab.partition import partition_from_blocks, partition_to_blocks
+from conjlab.partition import partition_to_blocks
 
 from conftest import all_partitions
 
@@ -56,7 +55,7 @@ class TestCanonicalForm:
 
     def test_blocks_json_roundtrip(self):
         p = parse_partition("1 5 8 - 2 - 3 - 4 - 6 7")
-        assert partition_from_blocks(partition_to_blocks(p)) == p
+        assert canonicalize(partition_to_blocks(p)) == p
 
 
 class TestParseFormat:
@@ -80,18 +79,6 @@ class TestParseFormat:
     def test_roundtrip_sparse(self, sparse_samples):
         for p in sparse_samples:
             assert parse_partition(format_partition(p)) == p
-
-
-class TestSupport:
-    def test_cyclic_successor_wraps(self):
-        s = Support((2, 5, 9))
-        assert [s.succ(x) for x in (2, 5, 9)] == [5, 9, 2]
-        assert [s.pred(x) for x in (2, 5, 9)] == [9, 2, 5]
-
-    def test_singleton_support_is_its_own_neighbour(self):
-        s = Support((4,))
-        assert s.succ(4) == 4
-        assert s.pred(4) == 4
 
 
 class TestAdjacencyProfile:

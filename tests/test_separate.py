@@ -9,7 +9,6 @@ from conjlab import (
     ROLE_ST,
     SeparationRecord,
     SetPartition,
-    Support,
     combine_domain_ok,
     combine_is,
     combine_st,
@@ -27,7 +26,8 @@ P = parse_partition
 def shuffled_combine(rec: SeparationRecord, with_succ: bool, rng) -> SetPartition:
     """Independent insertion oracle: one element at a time, random order."""
     universe = sorted(set(rec.rho.support) | rec.a_set | rec.b_set)
-    sup = Support(tuple(universe))
+    succ = dict(zip(universe, universe[1:] + universe[:1]))
+    pred = {y: x for x, y in succ.items()}
     parent = {x: x for x in universe}
 
     def find(x):
@@ -38,8 +38,8 @@ def shuffled_combine(rec: SeparationRecord, with_succ: bool, rng) -> SetPartitio
     for blk in rec.rho.blocks:
         for x in blk[1:]:
             parent[find(x)] = find(blk[0])
-    merges = [(x, sup.succ(x)) for x in rec.a_set] if with_succ else [
-        (x, sup.pred(x)) for x in rec.b_set
+    merges = [(x, succ[x]) for x in rec.a_set] if with_succ else [
+        (x, pred[x]) for x in rec.b_set
     ]
     rng.shuffle(merges)
     for x, y in merges:

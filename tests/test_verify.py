@@ -1,4 +1,8 @@
+import hashlib
 import importlib
+import json
+import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,9 @@ from conjlab import DomainError, verify_suite
 from conjlab.separate import _combine
 
 phi_module = importlib.import_module("conjlab.phi")
+
+# Pinned outputs of the benchmark, read-only here.
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def corrupted_combine_st(rec):
@@ -41,9 +48,11 @@ class TestSuitePasses:
                 "scope",
                 "items",
                 "status",
+                "failures",
                 "counterexample",
             }
             assert rec["status"] == "pass"
+            assert rec["failures"] == 0
             assert rec["counterexample"] is None
 
     def test_bounds_validated(self):
@@ -53,6 +62,15 @@ class TestSuitePasses:
             verify_suite(n_max=4, comp_n_max=21)
         with pytest.raises(DomainError):
             verify_suite(n_max=0)
+
+
+class TestPinnedReport:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tiny_report_bytes(self, jobs):
+        tiny = json.loads(EXPECTED.read_text())["verify"]["tiny"]
+        report = verify_suite(tiny["n_max"], tiny["comp_n_max"], jobs=jobs)
+        digest = hashlib.sha256((report.render() + "\n").encode()).hexdigest()
+        assert digest == tiny["sha256"]
 
 
 class TestSharding:
@@ -78,6 +96,11 @@ class TestMutationDetection:
             "reverse-phase-exactness",
         }
         assert failure.counterexample
+        assert failure.failures >= 1
+        if multiprocessing.get_start_method() == "fork":
+            # Only forked workers inherit the patched module.
+            multi = verify_suite(n_max=3, comp_n_max=2, jobs=3)
+            assert multi.to_records() == report.to_records()
         text = report.render()
         assert "[FAIL]" in text
         assert "counterexample:" in text
