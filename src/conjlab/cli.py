@@ -78,6 +78,10 @@ EXIT_IO = 4
 
 ENUM_PARTITION_CAP = 12
 ENUM_COMPOSITION_CAP = 20
+# Largest n of a composition given to comp and render path.  Their output
+# grows with n: the path has n - 1 steps, and the dot diagram of (2, ..., 2)
+# holds about n^2 / 8 characters (0.5 MB at the cap).
+COMPOSITION_N_CAP = 2000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,8 +172,19 @@ def cmd_kreweras(args, use_json: bool) -> int:
     return EXIT_OK
 
 
+def _capped_composition(text: str):
+    """Parse a composition and refuse one above COMPOSITION_N_CAP; the
+    check costs one pass over the parts, before any O(n) work."""
+    c = parse_composition(text)
+    if c.n > COMPOSITION_N_CAP:
+        raise DomainError(
+            f"composition of n={c.n} is above the cap n={COMPOSITION_N_CAP}"
+        )
+    return c
+
+
 def cmd_comp(args, use_json: bool) -> int:
-    c = parse_composition(args.composition)
+    c = _capped_composition(args.composition)
     if args.action == "conjugate":
         d = conjugate_composition(c)
         _emit(
@@ -298,7 +313,7 @@ def cmd_render(args, use_json: bool) -> int:
         p = parse_partition(args.text)
         content = render_partition_svg(p, inferred_n(p), ccw=args.ccw)
     else:  # path
-        content = render_path(parse_composition(args.text)) + "\n"
+        content = render_path(_capped_composition(args.text)) + "\n"
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(content)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, ParseError
+from .partition import parse_positive
 
 # The path alphabet; a path is a plain str over it.
 STEP_EAST = "E"
@@ -191,9 +192,4 @@ def parse_composition(text: str) -> Composition:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ParseError("empty composition")
-    parts = []
-    for tok in tokens:
-        if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
-            raise ParseError(f"bad part {tok!r}")
-        parts.append(int(tok))
-    return Composition(tuple(parts))
+    return Composition(tuple(parse_positive(tok, "part") for tok in tokens))

@@ -169,6 +169,21 @@ def format_partition(p: SetPartition) -> str:
     return " - ".join(" ".join(str(x) for x in blk) for blk in p.blocks)
 
 
+# Longest accepted number token.  int() refuses strings longer than
+# sys.get_int_max_str_digits() (4300 digits by default, never below 640
+# unless unlimited), so longer tokens are turned away before conversion.
+MAX_TOKEN_DIGITS = 100
+
+
+def parse_positive(tok: str, what: str) -> int:
+    """A positive integer written in ASCII digits; ParseError otherwise."""
+    if len(tok) > MAX_TOKEN_DIGITS:
+        raise ParseError(f"{what} of {len(tok)} characters exceeds {MAX_TOKEN_DIGITS} digits")
+    if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
+        raise ParseError(f"bad {what} {tok!r}")
+    return int(tok)
+
+
 def parse_partition(text: str) -> SetPartition:
     """Parse dash notation; elements may be space- or comma-separated."""
     if not text.strip():
@@ -181,9 +196,7 @@ def parse_partition(text: str) -> SetPartition:
             raise ParseError(f"empty block in {text!r}")
         blk = []
         for tok in tokens:
-            if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
-                raise ParseError(f"bad element {tok!r}")
-            x = int(tok)
+            x = parse_positive(tok, "element")
             if x in seen:
                 raise ParseError(f"duplicate element {x}")
             seen.add(x)

@@ -210,7 +210,8 @@ def phi_trace(p: SetPartition) -> PhiTrace:
         rec = separate_is(rho)
         if not rec.a_set and not rec.b_set:
             break
-        assert len(rec.rho.support) < len(rho.support)
+        if len(rec.rho.support) >= len(rho.support):
+            raise RuntimeError(f"strip step made no progress on {rho.blocks}")
         records.append(rec)
         rho = rec.rho
     k = len(records)

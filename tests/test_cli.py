@@ -1,11 +1,15 @@
 import json
+from pathlib import Path
 import subprocess
 import sys
 
 import pytest
 
 from conjlab import ParseError, canonicalize, parse_composition, parse_partition, phi
-from conjlab.cli import main
+from conjlab.cli import COMPOSITION_N_CAP, main
+
+# Pinned outputs of the benchmark, read-only here.
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +87,27 @@ class TestCompositionCommands:
         code, out, _ = run_cli(capsys, "comp", "path", "2,1,2,3")
         assert code == 0
         assert out == "ENNENEE\n  ...\n ..\n .\n..\n"
+
+    @pytest.mark.parametrize(
+        "command", [["comp", "conjugate"], ["comp", "stats"], ["comp", "path"], ["render", "path"]]
+    )
+    def test_composition_cap_boundary(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command, f"1,{COMPOSITION_N_CAP - 1}")
+        assert code == 0
+        assert out
+        for text in (f"1,{COMPOSITION_N_CAP}", "100000000"):
+            code, out, err = run_cli(capsys, *command, text)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("conjlab: error:")
+
+    @pytest.mark.parametrize(
+        "case", json.loads(EXPECTED.read_text())["cli"], ids=lambda case: case["name"]
+    )
+    def test_worked_examples_keep_their_bytes(self, capsys, case):
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert code == 0
+        assert out == case["stdout"]
 
 
 class TestEnumerateCommand:
@@ -223,12 +248,14 @@ class TestErrorPaths:
 
 
 # str.isdigit() accepts these, and int() rejects the first two and reads
-# the last as 1.
+# the last as 1.  int() also refuses more than 4300 digits by default.
 NON_ASCII_DIGITS = [
     pytest.param(parse_partition, ["phi"], "1 \u00b2", id="phi-superscript"),
     pytest.param(parse_partition, ["phi"], "\u0661 - 2", id="phi-arabic-indic"),
     pytest.param(parse_composition, ["comp", "conjugate"], "2,\u00b3", id="comp-superscript"),
     pytest.param(parse_composition, ["comp", "conjugate"], "\u0661,2", id="comp-arabic-indic"),
+    pytest.param(parse_partition, ["phi"], "1 " + "9" * 5000, id="phi-5000-digits"),
+    pytest.param(parse_composition, ["comp", "path"], "9" * 5000, id="comp-5000-digits"),
 ]
 
 

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from conjlab import (
@@ -12,10 +14,12 @@ from conjlab import (
     phi_trace,
     reduce_core,
 )
+from conjlab.separate import ROLE_IS, SeparationRecord
 
 from conftest import all_partitions
 
 P = parse_partition
+phi_module = importlib.import_module("conjlab.phi")
 
 WORKED = P("1 - 2 - 3 11 12 - 4 7 10 - 5 9 - 6 8")
 WORKED_FORWARD = [
@@ -159,3 +163,13 @@ class TestTraceRecords:
         for p in all_partitions(n):
             prof = adjacency_profile(phi_trace(p).core)
             assert not prof.initiators and not prof.singletons
+
+    def test_stalled_strip_step_raises(self, monkeypatch):
+        # A record that strips something yet keeps rho whole would loop for
+        # ever; the check must hold under python -O too, so no assert.
+        def stalled(rho):
+            return SeparationRecord(rho, frozenset(rho.support[:1]), frozenset(), ROLE_IS)
+
+        monkeypatch.setattr(phi_module, "separate_is", stalled)
+        with pytest.raises(RuntimeError, match="no progress"):
+            phi_trace(P("1 3 - 2"))

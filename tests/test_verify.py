@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from conjlab import DomainError, verify_suite
+from conjlab.compositions import Composition, conjugate_composition, mu
 from conjlab.separate import _combine
 
 phi_module = importlib.import_module("conjlab.phi")
+verify_module = importlib.import_module("conjlab.verify")
 
 # Pinned outputs of the benchmark, read-only here.
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -19,6 +21,15 @@ def corrupted_combine_st(rec):
     # Wrong direction: merges the b-elements with their successors, the
     # behaviour of the initiator-side insertion.
     return _combine(rec.rho, rec.a_set, rec.b_set, with_succ=True)
+
+
+def reversed_conjugate_composition(c):
+    # Right up to reversal, so the involution and length laws still hold.
+    return Composition(conjugate_composition(c).parts[::-1])
+
+
+def mu_off_at_n1(c):
+    return mu(c) + (c.n == 1)
 
 
 class TestSuitePasses:
@@ -65,7 +76,7 @@ class TestSuitePasses:
 
 
 class TestPinnedReport:
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_tiny_report_bytes(self, jobs):
         tiny = json.loads(EXPECTED.read_text())["verify"]["tiny"]
         report = verify_suite(tiny["n_max"], tiny["comp_n_max"], jobs=jobs)
@@ -105,3 +116,24 @@ class TestMutationDetection:
         assert "[FAIL]" in text
         assert "counterexample:" in text
         assert text.splitlines()[-1].startswith("result: FAIL")
+
+    @pytest.mark.parametrize(
+        "name, mutant, caught",
+        [
+            (
+                "conjugate_composition",
+                reversed_conjugate_composition,
+                {"comp-strip-agreement", "comp-sorted-palindrome"},
+            ),
+            ("mu", mu_off_at_n1, {"mu-nu-n1-exception"}),
+        ],
+    )
+    def test_pooled_tail_failures_match_serial(self, monkeypatch, name, mutant, caught):
+        # Composition sweeps and the fixed checks run in workers too; their
+        # failures must reach the report exactly as in a one-job run.
+        monkeypatch.setattr(verify_module, name, mutant)
+        report = verify_suite(n_max=3, comp_n_max=6, jobs=1)
+        assert {r.invariant for r in report.results if not r.ok} == caught
+        if multiprocessing.get_start_method() == "fork":
+            multi = verify_suite(n_max=3, comp_n_max=6, jobs=3)
+            assert multi.to_records() == report.to_records()
