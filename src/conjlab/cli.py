@@ -78,6 +78,10 @@ EXIT_IO = 4
 
 ENUM_PARTITION_CAP = 12
 ENUM_COMPOSITION_CAP = 20
+# Largest --n of a plain Bell count.  B(n) takes O(n^2) big-integer
+# additions, and str() refuses more than 4,300 digits (B(2500) has more);
+# B(1000) has 1,928 digits.
+ENUM_BELL_CAP = 1000
 # Largest n of a composition given to comp and render path.  Their output
 # grows with n: the path has n - 1 steps, and the dot diagram of (2, ..., 2)
 # holds about n^2 / 8 characters (0.5 MB at the cap).
@@ -245,6 +249,13 @@ def cmd_enumerate(args, use_json: bool) -> int:
             file=sys.stderr,
         )
         return EXIT_DOMAIN
+    if args.table != PAIR_MU_NU and n > ENUM_BELL_CAP:
+        print(
+            f"conjlab: error: Bell numbers are capped at n={ENUM_BELL_CAP}; "
+            f"rerun with --n {ENUM_BELL_CAP} or lower",
+            file=sys.stderr,
+        )
+        return EXIT_DOMAIN
     if args.table == PAIR_MU_NU and n > ENUM_COMPOSITION_CAP:
         print(
             f"conjlab: error: exhaustive composition enumeration is capped at "
@@ -256,8 +267,8 @@ def cmd_enumerate(args, use_json: bool) -> int:
     payload: dict = {"n": n}
     lines: list[str] = []
     if args.table != PAIR_MU_NU:
-        payload["partitions"] = bell_number(n)
-        lines.append(f"partitions of [{n}]: {bell_number(n)}")
+        payload["partitions"] = bell = bell_number(n)
+        lines.append(f"partitions of [{n}]: {bell}")
     if args.noncrossing:
         nc = sum(1 for p in iter_set_partitions(n) if is_noncrossing(p))
         payload["noncrossing"] = nc

@@ -87,6 +87,10 @@ PALINDROME_CAP = 14
 SUBSET_LEX_CAP = 12
 N_MAX_HARD = 12
 COMP_N_MAX_HARD = 20
+# Most worker processes a run may ask for.  The pool forks all of them at
+# once, and n_max = N_MAX_HARD makes at most 145 tasks, so more would only
+# cost processes.
+JOBS_MAX_HARD = 32
 SPARSE_TRIALS = 120
 SPARSE_SEED = 20240811
 _SHARD_DEPTH = 4  # RGS prefix length for parallel shards
@@ -575,6 +579,8 @@ def verify_suite(n_max: int = 10, comp_n_max: int = 16, jobs: int = 1) -> Verify
         raise DomainError(
             f"comp_n_max must be between 1 and {COMP_N_MAX_HARD}, got {comp_n_max}"
         )
+    if jobs < 1 or jobs > JOBS_MAX_HARD:
+        raise DomainError(f"jobs must be between 1 and {JOBS_MAX_HARD}, got {jobs}")
 
     # Tasks are (cost rank, function, args) in merge order.  The pool
     # starts them costliest first (Graham's longest-processing-time rule),

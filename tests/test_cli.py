@@ -1,12 +1,16 @@
+from contextlib import redirect_stderr, redirect_stdout
+import io
 import json
 from pathlib import Path
 import subprocess
 import sys
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
 import pytest
 
-from conjlab import ParseError, canonicalize, parse_composition, parse_partition, phi
-from conjlab.cli import COMPOSITION_N_CAP, main
+from conjlab import ParseError, bell_number, canonicalize, parse_composition, parse_partition, phi
+from conjlab.cli import COMPOSITION_N_CAP, ENUM_BELL_CAP, main
 
 # Pinned outputs of the benchmark, read-only here.
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -139,6 +143,20 @@ class TestEnumerateCommand:
         code, _, err = run_cli(capsys, "enumerate", "--n", "0")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_bell_cap(self, capsys, flags):
+        code, out, _ = run_cli(capsys, *flags, "enumerate", "--n", str(ENUM_BELL_CAP))
+        assert code == 0
+        if flags:
+            assert json.loads(out)["partitions"] == bell_number(ENUM_BELL_CAP)
+        else:
+            assert out == f"partitions of [{ENUM_BELL_CAP}]: {bell_number(ENUM_BELL_CAP)}\n"
+        for n in (ENUM_BELL_CAP + 1, 2500):
+            code, out, err = run_cli(capsys, *flags, "enumerate", "--n", str(n))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("conjlab: error:")
 
 
 class TestVerifyCommand:
@@ -275,6 +293,46 @@ class TestNonAsciiDigits:
         assert proc.returncode == 1
         assert proc.stderr.startswith("conjlab: error:")
         assert "Traceback" not in proc.stderr
+
+
+TEXT_COMMANDS = [
+    ["phi"],
+    ["conjugate"],
+    ["complement"],
+    ["trace"],
+    ["kreweras"],
+    ["comp", "conjugate"],
+    ["comp", "stats"],
+    ["comp", "path"],
+    ["render", "path"],
+]
+# Arbitrary text, and text over the characters the parsers look at, so
+# that many inputs parse.
+FUZZ_TEXT = st.text(max_size=20) | st.text(alphabet=" ,-0123456789\u00b2\u0661", max_size=40)
+
+
+def exit_code(argv) -> int:
+    """main's exit code, with argparse's SystemExit read as one; any other
+    exception escapes."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(TEXT_COMMANDS), st.booleans(), FUZZ_TEXT)
+    def test_text_argument(self, command, as_json, text):
+        argv = (["--json"] if as_json else []) + command + [text]
+        assert exit_code(argv) in {0, 1, 2, 3, 4}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=-5, max_value=10**5), st.booleans())
+    def test_enumerate_n(self, n, as_json):
+        argv = (["--json"] if as_json else []) + ["enumerate", "--n", str(n)]
+        assert exit_code(argv) in {0, 1, 2, 3, 4}
 
 
 class TestJsonMode:

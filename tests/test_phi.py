@@ -8,6 +8,7 @@ from conjlab import (
     SetPartition,
     adjacency_profile,
     conjugate,
+    kreweras_complement,
     parse_partition,
     phi,
     phi_inverse,
@@ -173,3 +174,73 @@ class TestTraceRecords:
         monkeypatch.setattr(phi_module, "separate_is", stalled)
         with pytest.raises(RuntimeError, match="no progress"):
             phi_trace(P("1 3 - 2"))
+
+
+def rainbow(n: int, core=()) -> SetPartition:
+    """The nested pairs {i, n+1-i} around the blocks of core, which sit in
+    the middle of [n] and are given relative to it."""
+    mid = len({x for blk in core for x in blk})
+    k = (n - mid) // 2
+    blocks = [(i, n + 1 - i) for i in range(1, k + 1)]
+    blocks += [tuple(k + x for x in blk) for blk in core]
+    return SetPartition(tuple(sorted(blocks)))
+
+
+@pytest.fixture
+def worklist_calls(monkeypatch):
+    """Counts the strips that reach the worklist."""
+    calls = []
+    inner = phi_module._worklist
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(phi_module, "_worklist", counted)
+    return calls
+
+
+class TestWorklist:
+    """The strip moves to its worklist once its full scans pass a budget;
+    a budget of 0 sends every strip there from the first step."""
+
+    def check(self, p):
+        trace = phi_trace(p)
+        assert phi(p) == trace.result
+        assert phi_inverse(trace.result) == p
+        assert reduce_core(p) == trace.core
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_worklist_only_agrees_with_trace(self, monkeypatch, worklist_calls, n):
+        monkeypatch.setattr(phi_module, "_SCAN_PASSES", 0)
+        for p in all_partitions(n):
+            self.check(p)
+        assert len(worklist_calls) == 3 * len(all_partitions(n))
+
+    def test_worklist_only_on_scattered_supports(
+        self, monkeypatch, worklist_calls, sparse_samples
+    ):
+        monkeypatch.setattr(phi_module, "_SCAN_PASSES", 0)
+        for p in sparse_samples:
+            self.check(p)
+        assert len(worklist_calls) == 3 * len(sparse_samples)
+
+    def test_deep_rainbow_is_kreweras(self, worklist_calls):
+        p = rainbow(2000)
+        q = phi(p)
+        assert q == kreweras_complement(p)
+        assert phi_inverse(q) == p
+        assert len(worklist_calls) == 2
+
+    def test_rainbow_around_a_crossing_core(self, worklist_calls):
+        p = rainbow(150, core=[(1, 3), (2, 4)])
+        assert reduce_core(p) == P("74 76 - 75 77")
+        worklist_calls.clear()
+        self.check(p)
+        assert len(worklist_calls) == 3
+
+    def test_default_budget_keeps_small_strips_scanning(self, worklist_calls):
+        for p in all_partitions(7):
+            phi(p)
+            phi_inverse(p)
+        assert len(worklist_calls) < len(all_partitions(7)) // 100

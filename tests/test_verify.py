@@ -1,3 +1,4 @@
+from concurrent.futures import Future
 import hashlib
 import importlib
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conjlab import DomainError, verify_suite
+from conjlab.cli import main
 from conjlab.compositions import Composition, conjugate_composition, mu
 from conjlab.separate import _combine
 
@@ -75,13 +77,64 @@ class TestSuitePasses:
             verify_suite(n_max=0)
 
 
+def assert_pinned_tiny_report(jobs):
+    tiny = json.loads(EXPECTED.read_text())["verify"]["tiny"]
+    report = verify_suite(tiny["n_max"], tiny["comp_n_max"], jobs=jobs)
+    digest = hashlib.sha256((report.render() + "\n").encode()).hexdigest()
+    assert digest == tiny["sha256"]
+
+
 class TestPinnedReport:
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_tiny_report_bytes(self, jobs):
-        tiny = json.loads(EXPECTED.read_text())["verify"]["tiny"]
-        report = verify_suite(tiny["n_max"], tiny["comp_n_max"], jobs=jobs)
-        digest = hashlib.sha256((report.render() + "\n").encode()).hexdigest()
-        assert digest == tiny["sha256"]
+        assert_pinned_tiny_report(jobs)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor without starting a process: runs
+    each task when it is submitted and records max_workers in built."""
+
+    def __init__(self, built, max_workers):
+        built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestJobsCap:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            verify_module, "ProcessPoolExecutor", lambda max_workers: InlinePool(built, max_workers)
+        )
+        return built
+
+    @pytest.mark.parametrize("jobs", [0, verify_module.JOBS_MAX_HARD + 1, 100000])
+    def test_out_of_range_is_refused_before_any_pool(self, built, jobs):
+        with pytest.raises(DomainError, match=str(verify_module.JOBS_MAX_HARD)):
+            verify_suite(n_max=2, comp_n_max=2, jobs=jobs)
+        assert built == []
+
+    def test_cli_exits_two(self, built, capsys):
+        code = main(["verify", "--n-max", "2", "--comp-n-max", "2", "--jobs", "100000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("conjlab: error:")
+        assert built == []
+
+    def test_cap_gives_the_pinned_report(self, built):
+        assert_pinned_tiny_report(verify_module.JOBS_MAX_HARD)
+        assert built == [verify_module.JOBS_MAX_HARD]
 
 
 class TestSharding:
