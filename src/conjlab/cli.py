@@ -28,31 +28,7 @@ import argparse
 import json
 import sys
 
-from .compositions import (
-    conjugate_composition,
-    format_composition,
-    mu,
-    mu_path,
-    nu,
-    nu_path,
-    parse_composition,
-    to_path,
-)
-from .enumeration import (
-    PAIR_MU_NU,
-    PAIR_SING_ADJ,
-    bell_number,
-    distribution,
-    iter_set_partitions,
-)
 from .errors import DomainError, ParseError
-from .noncrossing import (
-    find_crossing,
-    format_gaps,
-    graphical_conjugate,
-    is_noncrossing,
-    kreweras_complement,
-)
 from .partition import (
     complement,
     format_partition,
@@ -61,14 +37,9 @@ from .partition import (
     partition_to_blocks,
 )
 from .phi import conjugate, phi, phi_trace
-from .render import (
-    render_partition_svg,
-    render_path,
-    render_path_ascii,
-    render_trace,
-    trace_to_dict,
-)
-from .verify import verify_suite
+
+# Every other module is imported by the commands that use it, so that one
+# call loads only what its command runs.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,6 +57,9 @@ ENUM_BELL_CAP = 1000
 # grows with n: the path has n - 1 steps, and the dot diagram of (2, ..., 2)
 # holds about n^2 / 8 characters (0.5 MB at the cap).
 COMPOSITION_N_CAP = 2000
+# The --table choices, enumeration's PAIR_SING_ADJ and PAIR_MU_NU, spelled
+# out so that building the parser does not import enumeration.
+TABLE_PAIRS = ("sing-adj", "mu-nu")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,6 +112,8 @@ def cmd_complement(args, use_json: bool) -> int:
 
 
 def cmd_trace(args, use_json: bool) -> int:
+    from .render import render_trace, trace_to_dict
+
     p = parse_partition(args.partition)
     trace = phi_trace(p)
     payload = {"input": partition_to_blocks(p)}
@@ -147,8 +123,10 @@ def cmd_trace(args, use_json: bool) -> int:
 
 
 def cmd_kreweras(args, use_json: bool) -> int:
+    from .noncrossing import find_crossing, format_gaps, kreweras_complement
+
     p = parse_partition(args.partition)
-    inferred_n(p)
+    n = inferred_n(p)
     quad = find_crossing(p)
     if quad is not None:
         print(
@@ -157,7 +135,7 @@ def cmd_kreweras(args, use_json: bool) -> int:
         )
         return EXIT_DOMAIN
     kc = kreweras_complement(p)
-    gc = graphical_conjugate(p)
+    gc = complement(kc, n)  # graphical_conjugate(p), reusing kc
     payload = {
         "input": partition_to_blocks(p),
         "kreweras": partition_to_blocks(kc),
@@ -179,6 +157,8 @@ def cmd_kreweras(args, use_json: bool) -> int:
 def _capped_composition(text: str):
     """Parse a composition and refuse one above COMPOSITION_N_CAP; the
     check costs one pass over the parts, before any O(n) work."""
+    from .compositions import parse_composition
+
     c = parse_composition(text)
     if c.n > COMPOSITION_N_CAP:
         raise DomainError(
@@ -188,6 +168,16 @@ def _capped_composition(text: str):
 
 
 def cmd_comp(args, use_json: bool) -> int:
+    from .compositions import (
+        conjugate_composition,
+        format_composition,
+        mu,
+        mu_path,
+        nu,
+        nu_path,
+        to_path,
+    )
+
     c = _capped_composition(args.composition)
     if args.action == "conjugate":
         d = conjugate_composition(c)
@@ -220,6 +210,8 @@ def cmd_comp(args, use_json: bool) -> int:
             "\n".join(lines),
         )
     else:  # path
+        from .render import render_path, render_path_ascii
+
         _emit(
             use_json,
             {
@@ -237,6 +229,14 @@ def _format_table(counts: dict) -> list[str]:
 
 
 def cmd_enumerate(args, use_json: bool) -> int:
+    from .enumeration import (
+        PAIR_MU_NU,
+        PAIR_SING_ADJ,
+        bell_number,
+        distribution,
+        iter_set_partitions,
+    )
+
     n = args.n
     if n < 1:
         print("conjlab enumerate: error: --n must be >= 1", file=sys.stderr)
@@ -270,6 +270,8 @@ def cmd_enumerate(args, use_json: bool) -> int:
         payload["partitions"] = bell = bell_number(n)
         lines.append(f"partitions of [{n}]: {bell}")
     if args.noncrossing:
+        from .noncrossing import is_noncrossing
+
         nc = sum(1 for p in iter_set_partitions(n) if is_noncrossing(p))
         payload["noncrossing"] = nc
         lines.append(f"noncrossing partitions of [{n}]: {nc}")
@@ -303,6 +305,8 @@ def cmd_verify(args, use_json: bool) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    from .verify import verify_suite
+
     report = verify_suite(
         n_max=args.n_max, comp_n_max=args.comp_n_max, jobs=args.jobs
     )
@@ -320,6 +324,8 @@ def cmd_verify(args, use_json: bool) -> int:
 
 
 def cmd_render(args, use_json: bool) -> int:
+    from .render import render_partition_svg, render_path
+
     if args.kind == "partition":
         p = parse_partition(args.text)
         content = render_partition_svg(p, inferred_n(p), ccw=args.ccw)
@@ -379,7 +385,7 @@ def build_parser() -> _Parser:
     )
     enum.add_argument(
         "--table",
-        choices=[PAIR_SING_ADJ, PAIR_MU_NU],
+        choices=TABLE_PAIRS,
         help="print a joint statistic distribution and check its symmetry",
     )
 

@@ -37,7 +37,7 @@ class Composition:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("composition needs at least one part")
-        if any(not isinstance(x, int) or x < 1 for x in self.parts):
+        if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in self.parts):
             raise ValueError(f"parts must be positive integers: {self.parts!r}")
 
     @property

@@ -123,12 +123,15 @@ def canonicalize(raw_blocks: Iterable[Iterable[int]]) -> SetPartition:
     blocks = []
     seen: set[int] = set()
     for raw in raw_blocks:
+        raw = tuple(raw)
+        for x in raw:
+            # Checked before deduplication, which would merge True into 1.
+            if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+                raise InvalidPartitionError(f"element {x!r} is not a positive integer")
         blk = sorted(set(raw))
         if not blk:
             raise InvalidPartitionError("empty block")
         for x in blk:
-            if not isinstance(x, int) or x < 1:
-                raise InvalidPartitionError(f"element {x!r} is not a positive integer")
             if x in seen:
                 raise InvalidPartitionError(f"element {x} appears in more than one block")
             seen.add(x)

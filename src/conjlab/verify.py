@@ -23,7 +23,6 @@ takes one table row plus its check (a _fail call in the sweep).
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import random
 
@@ -596,6 +595,10 @@ def verify_suite(n_max: int = 10, comp_n_max: int = 16, jobs: int = 1) -> Verify
     tasks += [(m, composition_sweep, (m,)) for m in range(1, comp_n_max + 1)]
     tasks.append((15, _fixed_checks, ()))
     if jobs > 1:
+        # Imported here: it pulls in multiprocessing, which a serial run
+        # and every other command would pay for at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         by_cost = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {i: pool.submit(tasks[i][1], *tasks[i][2]) for i in by_cost}

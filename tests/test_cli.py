@@ -189,10 +189,11 @@ class TestVerifyCommand:
             def to_records(self):
                 return []
 
-        import conjlab.cli as cli_module
+        import conjlab.verify as verify_module
 
+        # cmd_verify imports verify_suite from conjlab.verify when it runs.
         monkeypatch.setattr(
-            cli_module, "verify_suite", lambda **kw: FakeReport()
+            verify_module, "verify_suite", lambda **kw: FakeReport()
         )
         code, out, _ = run_cli(capsys, "verify", "--n-max", "3")
         assert code == 3

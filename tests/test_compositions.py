@@ -51,6 +51,12 @@ class TestCompositionType:
         with pytest.raises(ValueError):
             Composition((-1,))
 
+    @pytest.mark.parametrize("parts", [(True, 2), (2, True), (False,)])
+    def test_bool_part_rejected(self, parts):
+        # bool is an int subclass: True would otherwise format as "True,2".
+        with pytest.raises(ValueError, match="positive integers"):
+            Composition(parts)
+
     def test_n_and_str(self):
         c = C((2, 1, 2, 3))
         assert c.n == 8

@@ -49,6 +49,12 @@ class TestCanonicalForm:
         with pytest.raises(InvalidPartitionError):
             canonicalize([[0, 1]])
 
+    @pytest.mark.parametrize("raw", [[[True, 2], [3]], [[1, True]], [[False]]])
+    def test_bool_rejected(self, raw):
+        # bool is an int subclass: True would otherwise pass as the element 1.
+        with pytest.raises(InvalidPartitionError, match="not a positive integer"):
+            canonicalize(raw)
+
     def test_support_is_sorted_union(self):
         p = canonicalize([[9, 2], [5]])
         assert p.support == (2, 5, 9)

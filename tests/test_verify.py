@@ -1,3 +1,4 @@
+import concurrent.futures
 from concurrent.futures import Future
 import hashlib
 import importlib
@@ -113,8 +114,11 @@ class TestJobsCap:
     @pytest.fixture
     def built(self, monkeypatch):
         built = []
+        # verify_suite imports the pool class from concurrent.futures when it runs.
         monkeypatch.setattr(
-            verify_module, "ProcessPoolExecutor", lambda max_workers: InlinePool(built, max_workers)
+            concurrent.futures,
+            "ProcessPoolExecutor",
+            lambda max_workers: InlinePool(built, max_workers),
         )
         return built
 
