@@ -134,10 +134,6 @@ class TestDeferredImports:
         assert "conjlab.phi" in modules
         assert modules.isdisjoint(DEFERRED)
 
-    def test_phi_command_output(self):
-        out = run_python("-m", "conjlab", "phi", "1 3 - 2 4")
-        assert out.stdout == "1 3 - 2 4\n"
-
     def test_table_choices_match_enumeration(self):
         from conjlab.cli import TABLE_PAIRS
         from conjlab.enumeration import PAIR_MU_NU, PAIR_SING_ADJ
