@@ -78,31 +78,17 @@ def _emit(use_json: bool, payload: dict, text: str) -> None:
         print(text)
 
 
-def cmd_phi(args, use_json: bool) -> int:
+# The one-partition maps: each prints the image of its argument.
+_MAPS = {
+    "phi": phi,
+    "conjugate": lambda p: conjugate(p, inferred_n(p)),
+    "complement": lambda p: complement(p, inferred_n(p)),
+}
+
+
+def cmd_map(args, use_json: bool) -> int:
     p = parse_partition(args.partition)
-    q = phi(p)
-    _emit(
-        use_json,
-        {"input": partition_to_blocks(p), "result": partition_to_blocks(q)},
-        format_partition(q),
-    )
-    return EXIT_OK
-
-
-def cmd_conjugate(args, use_json: bool) -> int:
-    p = parse_partition(args.partition)
-    q = conjugate(p, inferred_n(p))
-    _emit(
-        use_json,
-        {"input": partition_to_blocks(p), "result": partition_to_blocks(q)},
-        format_partition(q),
-    )
-    return EXIT_OK
-
-
-def cmd_complement(args, use_json: bool) -> int:
-    p = parse_partition(args.partition)
-    q = complement(p, inferred_n(p))
+    q = _MAPS[args.command](p)
     _emit(
         use_json,
         {"input": partition_to_blocks(p), "result": partition_to_blocks(q)},
@@ -123,18 +109,11 @@ def cmd_trace(args, use_json: bool) -> int:
 
 
 def cmd_kreweras(args, use_json: bool) -> int:
-    from .noncrossing import find_crossing, format_gaps, kreweras_complement
+    from .noncrossing import format_gaps, kreweras_complement
 
     p = parse_partition(args.partition)
     n = inferred_n(p)
-    quad = find_crossing(p)
-    if quad is not None:
-        print(
-            f"conjlab: error: partition is crossing: quadruple {quad}",
-            file=sys.stderr,
-        )
-        return EXIT_DOMAIN
-    kc = kreweras_complement(p)
+    kc = kreweras_complement(p)  # DomainError names a crossing
     gc = complement(kc, n)  # graphical_conjugate(p), reusing kc
     payload = {
         "input": partition_to_blocks(p),
@@ -414,9 +393,7 @@ def build_parser() -> _Parser:
 
 
 _DISPATCH = {
-    "phi": cmd_phi,
-    "conjugate": cmd_conjugate,
-    "complement": cmd_complement,
+    **dict.fromkeys(_MAPS, cmd_map),
     "trace": cmd_trace,
     "kreweras": cmd_kreweras,
     "comp": cmd_comp,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .compositions import Composition, mu, nu
-from .partition import EMPTY, SetPartition, adjacency_profile
+from .partition import EMPTY, SetPartition, adjacency_profile, canonicalize
 
 
 def bell_number(n: int) -> int:
@@ -121,8 +121,9 @@ def iter_set_partitions(
 
 
 def iter_set_partitions_of(elements: Iterable[int]) -> Iterator[SetPartition]:
-    """All partitions of an arbitrary support."""
-    labels = sorted(elements)
+    """All partitions of an arbitrary support: distinct positive integers,
+    else InvalidPartitionError before the first partition."""
+    labels = canonicalize([x] for x in elements).support
     for p in iter_set_partitions(len(labels)):
         yield SetPartition(
             tuple(tuple([labels[x - 1] for x in blk]) for blk in p.blocks)

@@ -7,45 +7,44 @@ partition of the n gap positions 1'..n' (gap i' between i and i+1, gap n'
 between n and 1) whose union with the original is noncrossing on the
 interleaved 2n-cycle.  Gaps are returned on plain labels 1..n.
 
-Both the crossing test and the complement are single stack scans: block
-polygons of a noncrossing partition nest, so the open blocks at any point
-of the scan form a stack, and each gap lands in the pocket of the
-innermost open block (or in the shared outer region).
+Both the crossing test and the complement are single stack scans over
+the ranks of the support (partition.ranks): block polygons of a
+noncrossing partition nest, so the open blocks at any point of the scan
+form a stack, and each gap lands in the pocket of the innermost open
+block (or in the shared outer region).  A rank that continues a block
+below the top of the stack is a crossing, so the complement checks its
+input in the same scan.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .partition import (
-    EMPTY,
-    SetPartition,
-    complement,
-    format_partition,
-    require_full_support,
-)
+from .partition import EMPTY, SetPartition, complement, ranks, require_full_support
 
 
 def find_crossing(p: SetPartition):
     """A witness quadruple (a, b, c, d) with a, c and b, d in two crossing
     blocks, or None when p is noncrossing."""
-    if len(p.blocks) < 2:
-        return None
-    bid = p.block_index
     blocks = p.blocks
+    if len(blocks) < 2:
+        return None
+    m, labels, bid = ranks(blocks)
+    left = list(map(len, blocks))  # elements of each block not yet seen
+    last = [0] * len(blocks)  # rank of each block's latest element seen
     stack: list[int] = []
-    last_seen: dict[int, int] = {}
-    for x in p.support:
+    for x in range(1, m + 1):
         b = bid[x]
-        blk = blocks[b]
-        if x == blk[0]:
+        if not last[b]:
             stack.append(b)
         elif stack[-1] != b:
             # x continues block b, but block t on top of the stack is still
             # open: it opened after b's previous element and closes later.
             t = stack[-1]
-            return (last_seen[b], blocks[t][0], x, blocks[t][-1])
-        last_seen[b] = x
-        if x == blk[-1]:
+            a, c = (last[b], x) if labels is None else (labels[last[b]], labels[x])
+            return (a, blocks[t][0], c, blocks[t][-1])
+        last[b] = x
+        left[b] -= 1
+        if not left[b]:
             stack.pop()
     return None
 
@@ -64,27 +63,25 @@ def kreweras_complement(p: SetPartition) -> SetPartition:
     Requires supp(p) = {1..n} and p noncrossing.  The scan tracks, for the
     innermost open block, how many of its elements have been consumed; gap
     i lands in the pocket keyed by that pair, or in the outer region when
-    no block is open.  It equals phi(p), an independent computation that
-    the tests and verify check it against.
+    no block is open.  The same scan meets any crossing, as find_crossing
+    does, and find_crossing runs only to name its witness.  The result
+    equals phi(p), an independent computation that the tests and verify
+    check it against.
     """
-    n = len(p.support)
-    if n == 0:
+    n, _, bid = ranks(p.blocks)
+    if not n:
         return EMPTY
     require_full_support(p, n)
-    crossing = find_crossing(p)
-    if crossing is not None:
-        raise DomainError(
-            f"{format_partition(p)!r} crosses at quadruple {crossing}"
-        )
-    bid = p.block_index
     blocks = p.blocks
     stack: list[list[int]] = []  # [block index, elements consumed]
     regions: dict[tuple[int, int], list[int]] = {}
-    for x in p.support:
+    for x in range(1, n + 1):
         b = bid[x]
         blk = blocks[b]
         if x == blk[0]:
             stack.append([b, 1])
+        elif stack[-1][0] != b:
+            raise DomainError(f"partition is crossing: quadruple {find_crossing(p)}")
         else:
             stack[-1][1] += 1
         if x == blk[-1]:

@@ -6,6 +6,10 @@ support of the partition itself*: the successor of the largest element
 wraps around to the smallest, so a one-element support has succ(a) = a
 and the lone element counts as one adjacency.
 
+Only the order of the support matters to adjacencies, crossings and the
+strip of phi, so they scan the rank view that ranks() builds: ranks
+1..m of the support with the block of each rank.
+
 Text form: blocks joined by " - ", elements by single spaces; the empty
 partition is the empty string.
 """
@@ -35,11 +39,6 @@ class SetPartition:
     def support(self) -> tuple[int, ...]:
         """All elements of the partition, increasing."""
         return tuple(sorted(x for blk in self.blocks for x in blk))
-
-    @cached_property
-    def block_index(self) -> dict[int, int]:
-        """Element -> index of its block within self.blocks."""
-        return {x: i for i, blk in enumerate(self.blocks) for x in blk}
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -75,6 +74,23 @@ def support_size(blocks) -> tuple[int, bool]:
     return m, not m or max(map(_last, blocks)) == m
 
 
+def ranks(blocks):
+    """(m, labels, bid): the rank view of canonical blocks over a support
+    of size m.  labels[r] is the element of rank r, 1 <= r <= m (None when
+    the support is {1..m}, so a rank is its element), and bid[r] the index
+    of the block holding rank r."""
+    m, full = support_size(blocks)
+    if full:
+        bid = [0] * (m + 1)
+        for i, blk in enumerate(blocks):
+            for x in blk:
+                bid[x] = i
+        return m, None, bid
+    index = {x: i for i, blk in enumerate(blocks) for x in blk}
+    ranked = sorted(index)
+    return m, [0, *ranked], [0, *map(index.__getitem__, ranked)]
+
+
 def adjacency_profile(p: SetPartition) -> AdjacencyProfile:
     """Pair each element with its cyclic successor, in one pass."""
     blocks = p.blocks
@@ -98,17 +114,13 @@ def adjacency_profile(p: SetPartition) -> AdjacencyProfile:
             initiators.append(m)
             terminators.append(1)
     else:
-        bid = {x: i for i, blk in enumerate(blocks) for x in blk}
-        supp = sorted(bid)
-        prev = supp[-1]
-        prev_bid = bid[prev]
-        for x in supp:
-            xb = bid[x]
-            if xb == prev_bid:
-                initiators.append(prev)
-                terminators.append(x)
-            prev = x
-            prev_bid = xb
+        _, labels, bid = ranks(blocks)
+        prev = m
+        for r in range(1, m + 1):
+            if bid[r] == bid[prev]:
+                initiators.append(labels[prev])
+                terminators.append(labels[r])
+            prev = r
     singletons = [blk[0] for blk in blocks if len(blk) == 1]
     return AdjacencyProfile(
         frozenset(initiators),
@@ -123,19 +135,16 @@ def canonicalize(raw_blocks: Iterable[Iterable[int]]) -> SetPartition:
     blocks = []
     seen: set[int] = set()
     for raw in raw_blocks:
-        raw = tuple(raw)
-        for x in raw:
-            # Checked before deduplication, which would merge True into 1.
-            if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-                raise InvalidPartitionError(f"element {x!r} is not a positive integer")
-        blk = sorted(set(raw))
+        blk = tuple(raw)
         if not blk:
             raise InvalidPartitionError("empty block")
         for x in blk:
+            if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+                raise InvalidPartitionError(f"element {x!r} is not a positive integer")
             if x in seen:
-                raise InvalidPartitionError(f"element {x} appears in more than one block")
+                raise InvalidPartitionError(f"element {x} appears more than once")
             seen.add(x)
-        blocks.append(tuple(blk))
+        blocks.append(tuple(sorted(blk)))
     blocks.sort()
     return SetPartition(tuple(blocks))
 

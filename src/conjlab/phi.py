@@ -12,10 +12,11 @@ step ends up in the block of its cyclic predecessor (successor, for
 phi_inverse) among the elements still live at that step, so one strip
 scan records those links and a union-find joins them with the core
 blocks.  The scan runs on arrays indexed by rank, so supports other than
-{1..n} are mapped to ranks first (the exhaustive checks sweep millions of
-partitions, so the per-step partition objects of the record-based path
-are too dear).  phi_trace keeps the readable record-based computation;
-the two paths are compared exhaustively in the tests.
+{1..n} are mapped to ranks first, by the rank view (partition.ranks) that
+the adjacency profile and the crossing scans share.  The exhaustive
+checks sweep millions of partitions, so the per-step partition objects
+of the record-based path are too dear; phi_trace keeps that readable
+computation, and the two paths are compared exhaustively in the tests.
 
 A full scan per step makes a strip O(m x steps) on a support of size m,
 and nested inputs take about m/2 steps.  So once its scans would pass
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .partition import SetPartition, complement, require_full_support, support_size
+from .partition import SetPartition, complement, ranks, require_full_support
 from .separate import ROLE_ST, SeparationRecord, combine_st, separate_is
 
 # Passes over the support a strip may scan before it moves to the
@@ -51,31 +52,14 @@ def _strip(blocks, invert: bool):
     step re-inserts it into that element's block.
     The scan runs on ranks 1..m of the support, with arrays indexed by
     rank; everything it looks at depends only on the relative order of
-    the support.  Returns (m, labels, core, bid, link): labels[r] is the
-    element of rank r (None when the support is {1..m}, so a rank is its
-    element), core the ranks never killed in scan order, bid[r] the
-    block index of rank r, and link[r] the rank r is linked to (r itself
-    if none).
+    the support.  Returns (m, labels, core, bid, link): m, labels and bid
+    as ranks() gives them, core the ranks never killed in scan order,
+    and link[r] the rank r is linked to (r itself if none).
     Steps scan the whole live list until the scans would pass
     _SCAN_PASSES x m elements, then _worklist finishes: O(m) in all.
     """
-    m, full = support_size(blocks)
-    if full:
-        labels = None
-        bid = [0] * (m + 1)
-        sizes = []
-        i = 0
-        for blk in blocks:
-            for x in blk:
-                bid[x] = i
-            sizes.append(len(blk))
-            i += 1
-    else:
-        index = {x: i for i, blk in enumerate(blocks) for x in blk}
-        ranked = sorted(index)
-        labels = [0, *ranked]
-        bid = [0, *map(index.__getitem__, ranked)]
-        sizes = list(map(len, blocks))
+    m, labels, bid = ranks(blocks)
+    sizes = list(map(len, blocks))
     link = list(range(m + 1))
     dead = [False] * (m + 1)
     live = list(range(m, 0, -1)) if invert else link[1:]

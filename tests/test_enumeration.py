@@ -8,6 +8,7 @@ from conjlab import (
     PAIR_MU_NU,
     PAIR_SING_ADJ,
     DistributionTable,
+    InvalidPartitionError,
     bell_number,
     catalan_number,
     count_adjacency_free,
@@ -80,6 +81,19 @@ class TestArbitrarySupports:
         assert got == sorted(
             ["3 7 8", "3 7 - 8", "3 8 - 7", "3 - 7 8", "3 - 7 - 8"]
         )
+
+    @pytest.mark.parametrize(
+        "support, why",
+        [
+            ([1, 1], "appears more than once"),
+            ([0, -1], "not a positive integer"),
+            ([2, True], "not a positive integer"),
+        ],
+    )
+    def test_bad_support_rejected_before_any_partition(self, support, why):
+        parts = iter_set_partitions_of(support)
+        with pytest.raises(InvalidPartitionError, match=why):
+            next(parts)
 
     def test_random_partition_is_seed_deterministic(self):
         a = random_partition(range(1, 12), random.Random(5))
@@ -157,13 +171,11 @@ class TestAdjacencyFreeCounts:
         assert sum(count_adjacency_free(4, k) for k in range(1, 5)) == 4
 
     def test_n4_members(self):
-        free = [
-            p
-            for p in iter_set_partitions(4)
-            if all(
-                p.block_index[x] != p.block_index[x % 4 + 1] for x in range(1, 5)
-            )
-        ]
+        def adjacency_free(p):
+            block_of = {x: i for i, blk in enumerate(p.blocks) for x in blk}
+            return all(block_of[x] != block_of[x % 4 + 1] for x in range(1, 5))
+
+        free = [p for p in iter_set_partitions(4) if adjacency_free(p)]
         assert [str(p) for p in free] == [
             "1 3 - 2 4",
             "1 3 - 2 - 4",

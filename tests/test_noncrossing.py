@@ -20,6 +20,7 @@ from conjlab import (
     rotate_partition,
 )
 
+from conjlab import noncrossing as noncrossing_module
 from conftest import all_partitions
 
 P = parse_partition
@@ -37,8 +38,13 @@ def naive_is_crossing(blocks) -> bool:
     return False
 
 
+def block_of(p: SetPartition) -> dict[int, int]:
+    """Element -> index of its block within p.blocks."""
+    return {x: i for i, blk in enumerate(p.blocks) for x in blk}
+
+
 def refines(fine: SetPartition, coarse: SetPartition) -> bool:
-    cover = coarse.block_index
+    cover = block_of(coarse)
     return all(len({cover[x] for x in blk}) == 1 for blk in fine.blocks)
 
 
@@ -64,8 +70,21 @@ class TestCrossingDetection:
                 if quad is not None:
                     a, b, c, d = quad
                     assert a < b < c < d
-                    bid = p.block_index
+                    bid = block_of(p)
                     assert bid[a] == bid[c] != bid[b] == bid[d]
+
+    def test_sparse_supports_against_naive_quadruple_scan(self, sparse_samples):
+        crossing = 0
+        for p in sparse_samples:
+            assert is_noncrossing(p) == (not naive_is_crossing(p.blocks))
+            quad = find_crossing(p)
+            if quad is not None:
+                crossing += 1
+                a, b, c, d = quad
+                assert a < b < c < d
+                bid = block_of(p)
+                assert bid[a] == bid[c] != bid[b] == bid[d]
+        assert 0 < crossing < len(sparse_samples)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_against_naive_quadruple_scan(self, n):
@@ -91,6 +110,35 @@ class TestKrewerasComplement:
 
     def test_crossing_input_rejected(self):
         with pytest.raises(DomainError):
+            kreweras_complement(P("1 3 - 2 4"))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rejects_exactly_the_crossing_partitions(self, n):
+        for p in all_partitions(n):
+            quad = find_crossing(p)
+            if quad is None:
+                kreweras_complement(p)
+            else:
+                with pytest.raises(DomainError) as err:
+                    kreweras_complement(p)
+                assert str(err.value) == f"partition is crossing: quadruple {quad}"
+
+    def test_one_scan_without_find_crossing(self, monkeypatch):
+        # The complement meets crossings in its own scan; find_crossing
+        # runs only to name the witness of a crossing input.
+        def refuse(p):
+            raise AssertionError(f"find_crossing called on {p}")
+
+        expected = {
+            p: kreweras_complement(p)
+            for n in range(1, 7)
+            for p in all_partitions(n)
+            if is_noncrossing(p)
+        }
+        monkeypatch.setattr(noncrossing_module, "find_crossing", refuse)
+        for p, k in expected.items():
+            assert kreweras_complement(p) == k
+        with pytest.raises(AssertionError, match="find_crossing called"):
             kreweras_complement(P("1 3 - 2 4"))
 
     def test_partial_support_rejected(self):

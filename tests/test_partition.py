@@ -13,7 +13,7 @@ from conjlab import (
     inferred_n,
     parse_partition,
 )
-from conjlab.partition import partition_to_blocks
+from conjlab.partition import partition_to_blocks, ranks
 
 from conftest import all_partitions
 
@@ -44,6 +44,11 @@ class TestCanonicalForm:
     def test_duplicate_element_rejected(self):
         with pytest.raises(InvalidPartitionError):
             canonicalize([[1, 2], [2, 3]])
+
+    @pytest.mark.parametrize("raw", [[[1, 1], [2]], [[3, 3]]])
+    def test_element_repeated_in_one_block_rejected(self, raw):
+        with pytest.raises(InvalidPartitionError, match="appears more than once"):
+            canonicalize(raw)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(InvalidPartitionError):
@@ -136,6 +141,18 @@ class TestAdjacencyProfile:
                 ter,
                 sing,
             )
+
+
+class TestRankView:
+    def test_rank_r_is_the_rth_element(self, sparse_samples):
+        for p in [EMPTY, *all_partitions(5), *sparse_samples]:
+            m, labels, bid = ranks(p.blocks)
+            label = labels or range(m + 1)
+            assert m == len(p.support)
+            assert list(label[1:]) == list(p.support)
+            assert (labels is None) == (p.support == tuple(range(1, m + 1)))
+            for r in range(1, m + 1):
+                assert label[r] in p.blocks[bid[r]]
 
 
 class TestComplement:
