@@ -35,10 +35,15 @@ class Composition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.parts:
+        parts = self.parts
+        if not parts:
             raise ValueError("composition needs at least one part")
-        if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in self.parts):
-            raise ValueError(f"parts must be positive integers: {self.parts!r}")
+        if set(map(type, parts)) == {int}:
+            bad = min(parts) < 1
+        else:  # bool is an int subclass; other subclasses are accepted
+            bad = any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in parts)
+        if bad:
+            raise ValueError(f"parts must be positive integers: {parts!r}")
 
     @property
     def n(self) -> int:
@@ -98,10 +103,22 @@ def flip_path(path: str) -> str:
 
 
 def conjugate_composition(c: Composition) -> Composition:
-    """Complement the cut set inside 1..n-1 (= flip every path step)."""
-    n = c.n
-    cuts = to_subset(c)
-    return from_subset((i for i in range(1, n) if i not in cuts), n)
+    """Complement the cut set inside 1..n-1 (= flip every path step).
+
+    Built from the parts: the path of c is E^(c_1 - 1) N E^(c_2 - 1) ...,
+    so the flipped path is N^(c_1 - 1) E N^(c_2 - 1) ..., and each N in
+    it closes a part whose size counts the Es since the N before.
+    """
+    parts = []
+    size = 0
+    for part in c.parts:
+        size += 1  # the E before this run, or the start
+        if part > 1:
+            parts.append(size)
+            parts += [1] * (part - 2)
+            size = 1
+    parts.append(size)
+    return Composition(tuple(parts))
 
 
 def mu(c: Composition) -> int:

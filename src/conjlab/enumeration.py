@@ -134,10 +134,11 @@ def random_partition(elements: Iterable[int], rng) -> SetPartition:
     """A random partition of the given support.
 
     Uniform over growth strings, not over partitions; good enough for
-    spot checks on sparse supports.
+    spot checks on sparse supports.  The elements must be distinct
+    positive integers, else InvalidPartitionError.
     """
     blocks: list[list[int]] = []
-    for x in sorted(set(elements)):
+    for x in canonicalize([x] for x in elements).support:
         j = rng.randrange(len(blocks) + 1)
         if j == len(blocks):
             blocks.append([x])

@@ -19,7 +19,7 @@ input in the same scan.
 from __future__ import annotations
 
 from .errors import DomainError
-from .partition import EMPTY, SetPartition, complement, ranks, require_full_support
+from .partition import EMPTY, SetPartition, complement, ranks, require_full_support, support_size
 
 
 def find_crossing(p: SetPartition):
@@ -97,7 +97,7 @@ def graphical_conjugate(p: SetPartition) -> SetPartition:
 
     Coincides with conjugate on noncrossing partitions.
     """
-    n = len(p.support)
+    n, _ = support_size(p.blocks)
     k = kreweras_complement(p)
     return complement(k, n) if n else EMPTY
 
@@ -107,7 +107,7 @@ def rotate_partition(p: SetPartition, shift: int) -> SetPartition:
 
     Applying the Kreweras complement twice equals rotate_partition(p, -1).
     """
-    n = len(p.support)
+    n, _ = support_size(p.blocks)
     if n == 0:
         return EMPTY
     require_full_support(p, n)

@@ -17,11 +17,30 @@ partition is the empty string.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidPartitionError, ParseError
+
+
+class _cached:
+    """functools.cached_property without its lock, which CPython 3.11
+    takes on every first read: the value goes into the instance dict,
+    where it shadows this non-data descriptor from then on.  Two threads
+    may both compute a first read; both store the same value."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -35,7 +54,7 @@ class SetPartition:
 
     blocks: tuple[tuple[int, ...], ...]
 
-    @cached_property
+    @_cached
     def support(self) -> tuple[int, ...]:
         """All elements of the partition, increasing."""
         return tuple(sorted(x for blk in self.blocks for x in blk))

@@ -147,8 +147,9 @@ def _root(link, x: int) -> int:
     return x
 
 
-def _transfer(p: SetPartition, invert: bool) -> SetPartition:
-    """phi (invert False) or phi_inverse (invert True) by one strip scan.
+def _transfer(strip, invert: bool) -> SetPartition:
+    """phi (invert False) or phi_inverse (invert True) from the _strip
+    result strip, run with the same invert.
 
     The result's blocks are the classes of a union-find over the strip's
     links and the core blocks.  Links point back in scan order, bar one
@@ -156,7 +157,7 @@ def _transfer(p: SetPartition, invert: bool) -> SetPartition:
     every target resolved already; grouping in increasing order then
     gives canonical blocks.  For phi the two passes are one.
     """
-    m, labels, core, bid, link = _strip(p.blocks, invert)
+    m, labels, core, bid, link = strip
     rep = {}
     for x in core:
         link[x] = rep.setdefault(bid[x], x)
@@ -187,6 +188,15 @@ def _unrank(groups, labels) -> SetPartition:
     return SetPartition(tuple([tuple(map(label, g)) for g in groups]))
 
 
+def _core(strip) -> SetPartition:
+    """The core blocks of a _strip result: ranks never killed, by block."""
+    _, labels, core, bid, _ = strip
+    groups: dict[int, list[int]] = {}
+    for x in core:
+        groups.setdefault(bid[x], []).append(x)
+    return _unrank(groups.values(), labels)
+
+
 def phi(p: SetPartition) -> SetPartition:
     """Bijection interchanging singletons with adjacencies.
 
@@ -194,13 +204,13 @@ def phi(p: SetPartition) -> SetPartition:
     phi(p) are the singletons of p.  Works on any finite support and
     preserves it.
     """
-    return _transfer(p, invert=False)
+    return _transfer(_strip(p.blocks, invert=False), invert=False)
 
 
 def phi_inverse(p: SetPartition) -> SetPartition:
     """Two-sided inverse of phi: strip singletons/terminators, rebuild
     joining each stripped singleton to its cyclic successor."""
-    return _transfer(p, invert=True)
+    return _transfer(_strip(p.blocks, invert=True), invert=True)
 
 
 def reduce_core(p: SetPartition) -> SetPartition:
@@ -208,11 +218,14 @@ def reduce_core(p: SetPartition) -> SetPartition:
 
     Empty exactly when p is noncrossing.
     """
-    _, labels, core, bid, _ = _strip(p.blocks, invert=False)
-    groups: dict[int, list[int]] = {}
-    for x in core:
-        groups.setdefault(bid[x], []).append(x)
-    return _unrank(groups.values(), labels)
+    return _core(_strip(p.blocks, invert=False))
+
+
+def _phi_and_core(p: SetPartition) -> tuple[SetPartition, SetPartition]:
+    """(phi(p), reduce_core(p)) from one strip, for callers that need both.
+    _transfer changes only the strip's link, which _core does not read."""
+    strip = _strip(p.blocks, invert=False)
+    return _transfer(strip, invert=False), _core(strip)
 
 
 class ForwardRow(NamedTuple):

@@ -53,13 +53,8 @@ def suppress(p: SetPartition, kill) -> SetPartition:
     """Delete the given elements from p, dropping any block that empties."""
     if not kill:
         return p
-    blocks = []
-    for blk in p.blocks:
-        nb = tuple(x for x in blk if x not in kill)
-        if nb:
-            blocks.append(nb)
-    blocks.sort()
-    return SetPartition(tuple(blocks))
+    blocks = [tuple([x for x in blk if x not in kill]) for blk in p.blocks]
+    return SetPartition(tuple(sorted(filter(None, blocks))))
 
 
 def separate_is(p: SetPartition) -> SeparationRecord:
@@ -85,10 +80,10 @@ def combine_domain_ok(rec: SeparationRecord) -> bool:
     rho, a_set, b_set = rec.rho, rec.a_set, rec.b_set
     if not rho.blocks and a_set == b_set and len(a_set) == 1:
         return True
-    supp = set(rho.support)
-    if (supp & a_set) or (supp & b_set) or (a_set & b_set):
+    supp = rho.support
+    if not (a_set.isdisjoint(supp) and b_set.isdisjoint(supp) and a_set.isdisjoint(b_set)):
         return False
-    universe = sorted(supp | a_set | b_set)
+    universe = sorted(a_set.union(supp, b_set))
     if not universe:
         return True
     prev = universe[-1]
@@ -108,31 +103,32 @@ def _combine(rho: SetPartition, a_set, b_set, with_succ: bool) -> SetPartition:
     Unmerged new elements remain singleton blocks.  The merge order is
     irrelevant: the result only depends on which pairs get unioned.
     """
-    universe = sorted(set(rho.support) | a_set | b_set)
+    universe = sorted(a_set.union(rho.support, b_set))
     if not universe:
         return EMPTY
-    parent = {x: x for x in universe}
+    index = {x: i for i, x in enumerate(universe)}
+    parent = list(range(len(universe)))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    for blk in rho.blocks:
-        first = blk[0]
+    for blk in rho.blocks:  # disjoint blocks of fresh roots: no finds needed
+        first = index[blk[0]]
         for x in blk[1:]:
-            parent[find(x)] = find(first)
+            parent[index[x]] = first
     # The cyclic neighbour of universe[i] is universe[i + step], wrapping.
     moving, step = (a_set, 1) if with_succ else (b_set, -1)
-    for i, x in enumerate(universe):
-        if x in moving:
-            parent[find(x)] = find(universe[(i + step) % len(universe)])
+    for x in moving:
+        i = index[x]
+        parent[find(i)] = find((i + step) % len(universe))
+    # Indices in increasing order list each class by its least element.
     groups: dict[int, list[int]] = {}
-    for x in universe:
-        groups.setdefault(find(x), []).append(x)
-    blocks = sorted(tuple(g) for g in groups.values())
-    return SetPartition(tuple(blocks))
+    for i, x in enumerate(universe):
+        groups.setdefault(find(i), []).append(x)
+    return SetPartition(tuple(map(tuple, groups.values())))
 
 
 def combine_is(rec: SeparationRecord) -> SetPartition:

@@ -64,7 +64,7 @@ from .partition import (
     format_partition,
     parse_partition,
 )
-from .phi import conjugate, phi, phi_inverse, phi_trace, reduce_core
+from .phi import _phi_and_core, conjugate, phi, phi_inverse, phi_trace, reduce_core
 from .separate import (
     ROLE_IS,
     ROLE_ST,
@@ -185,20 +185,23 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
     parse_on = n <= PARSE_CAP
     union_on = n <= UNION_CAP
     full = tuple(range(1, n + 1))
+
+    def text() -> str:  # the counterexample: built only on failure
+        return f"n={n} p={format_partition(p)}"
+
     for p in iter_set_partitions(n, prefix):
         count += 1
-        text = f"n={n} p={format_partition(p)}"
         prof = adjacency_profile(p)
         nsing = len(prof.singletons)
         dist_key = (nsing, prof.adjacency_count)
         dist[dist_key] = dist.get(dist_key, 0) + 1
         if len(prof.initiators) != len(prof.terminators):
-            _fail(fails, "balance", text)
-        if parse_on and parse_partition(format_partition(p)) != p:
-            _fail(fails, "parse-format-roundtrip", text)
+            _fail(fails, "balance", text())
+        if parse_on and parse_partition(str(p)) != p:
+            _fail(fails, "parse-format-roundtrip", text())
         cp = complement(p, n)
         if complement(cp, n) != p:
-            _fail(fails, "complement-involution", text)
+            _fail(fails, "complement-involution", text())
         cprof = adjacency_profile(cp)
         m = n + 1
         if (
@@ -206,53 +209,49 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             or cprof.terminators != frozenset(m - i for i in prof.initiators)
             or cprof.singletons != frozenset(m - s for s in prof.singletons)
         ):
-            _fail(fails, "complement-role-swap", text)
+            _fail(fails, "complement-role-swap", text())
         rec_is = separate_is(p)
         rec_st = separate_st(p)
-        if not (combine_domain_ok(rec_is) and combine_domain_ok(rec_st)):
-            _fail(fails, "separate-records-in-domain", text)
-        else:
-            if combine_is(rec_is) != p or combine_st(rec_st) != p:
-                _fail(fails, "separate-combine-roundtrip", text)
+        is_ok = combine_domain_ok(rec_is)
+        if not (is_ok and combine_domain_ok(rec_st)):
+            _fail(fails, "separate-records-in-domain", text())
+        elif combine_is(rec_is) != p or combine_st(rec_st) != p:
+            _fail(fails, "separate-combine-roundtrip", text())
         retagged = SeparationRecord(rec_is.rho, rec_is.a_set, rec_is.b_set, ROLE_ST)
-        if combine_domain_ok(retagged) != combine_domain_ok(rec_is):
-            _fail(fails, "combine-domain-role-symmetry", text)
-        q = phi(p)
+        if combine_domain_ok(retagged) != is_ok:
+            _fail(fails, "combine-domain-role-symmetry", text())
+        q, core = _phi_and_core(p)
         if q.support != full:
-            _fail(fails, "phi-support-preserved", text)
+            _fail(fails, "phi-support-preserved", text())
         qprof = adjacency_profile(q)
-        interchange_ok = (
-            qprof.singletons == prof.initiators
-            and qprof.terminators == prof.singletons
-        )
-        if not interchange_ok:
-            _fail(fails, "phi-statistic-interchange", f"{text} phi(p)={format_partition(q)}")
+        if not (qprof.singletons == prof.initiators and qprof.terminators == prof.singletons):
+            _fail(fails, "phi-statistic-interchange", f"{text()} phi(p)={format_partition(q)}")
         if phi_inverse(q) != p:
-            _fail(fails, "phi-inverse-identity", text)
+            _fail(fails, "phi-inverse-identity", text())
         if image is not None:
             image.add(q.blocks)
         cq = complement(q, n)  # conjugate of p
         involution_ok = conjugate(cq, n) == p
         if not involution_ok:
-            _fail(fails, "conjugate-involution", f"{text} conj(p)={format_partition(cq)}")
+            _fail(fails, "conjugate-involution", f"{text()} conj(p)={format_partition(cq)}")
         cqprof = adjacency_profile(cq)
         conj_interchange_ok = (
             len(cqprof.singletons) == prof.adjacency_count
             and cqprof.adjacency_count == nsing
         )
         if not conj_interchange_ok:
-            _fail(fails, "conjugate-interchange", text)
+            _fail(fails, "conjugate-interchange", text())
         if trace_on:
             trace = phi_trace(p)
             if trace.result != q:
-                _fail(fails, "phi-trace-agreement", text)
+                _fail(fails, "phi-trace-agreement", text())
             rows = trace.reverse_rows  # j = k .. 0
             fwd = trace.forward_rows
             for row in fwd:
                 rec = SeparationRecord(row.rho, row.initiators, row.singletons, ROLE_IS)
                 back = separate_is(combine_is(rec))
                 if (back.rho, back.a_set, back.b_set) != (rec.rho, rec.a_set, rec.b_set):
-                    _fail(fails, "trace-record-inverse", f"{text} j={row.j}")
+                    _fail(fails, "trace-record-inverse", f"{text()} j={row.j}")
                     break
             for idx in range(len(rows) - 1):
                 tau_j = rows[idx].tau  # j = k - idx
@@ -260,42 +259,36 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
                 j = rows[idx].j
                 back = separate_st(tau_prev)
                 frow = fwd[j - 1]
-                if (
-                    back.rho != tau_j
-                    or back.a_set != frow.initiators
-                    or back.b_set != frow.singletons
-                ):
-                    _fail(fails, "reverse-phase-exactness", f"{text} j={j}")
+                if (back.rho, back.a_set, back.b_set) != (tau_j, frow.initiators, frow.singletons):
+                    _fail(fails, "reverse-phase-exactness", f"{text()} j={j}")
                     break
         nc = is_noncrossing(p)
-        core = reduce_core(p)
         if nc != (core == EMPTY):
-            _fail(fails, "nc-core-characterization", f"{text} core={format_partition(core)}")
+            _fail(fails, "nc-core-characterization", f"{text()} core={format_partition(core)}")
         if nc:
             nc_count += 1
             if not (is_noncrossing(q) and is_noncrossing(cq)):
-                _fail(fails, "nc-closure", text)
+                _fail(fails, "nc-closure", text())
             gp = kreweras_complement(p)
             if gp != q:
-                _fail(fails, "nc-graphical-phi", f"{text} gaps={format_partition(gp)}")
+                _fail(fails, "nc-graphical-phi", f"{text()} gaps={format_partition(gp)}")
             if complement(gp, n) != cq:
-                _fail(fails, "nc-graphical-conjugate", text)
+                _fail(fails, "nc-graphical-conjugate", text())
             if not (involution_ok and conj_interchange_ok):
-                _fail(fails, "nc-conjugation-involution", text)
+                _fail(fails, "nc-conjugation-involution", text())
             if kreweras_complement(gp) != rotate_partition(p, -1):
-                _fail(fails, "kreweras-double-rotation", text)
+                _fail(fails, "kreweras-double-rotation", text())
             if union_on:
                 ok, why = _union_maximal(p, gp)
                 if not ok:
-                    _fail(fails, "kreweras-union-maximal", f"{text} {why}")
-    out = {
+                    _fail(fails, "kreweras-union-maximal", f"{text()} {why}")
+    return {
         "count": count,
         "nc": nc_count,
         "fails": fails,
         "dist": dist,
         "image": sorted(image) if image is not None else None,
     }
-    return out
 
 
 def _union_maximal(p: SetPartition, gaps: SetPartition) -> tuple[bool, str]:
@@ -329,32 +322,34 @@ def composition_sweep(n: int) -> dict:
     count = 0
     comps = []
     keep = n <= max(PALINDROME_CAP, SUBSET_LEX_CAP)
+
+    def text() -> str:  # the counterexample: built only on failure
+        return f"n={n} c={format_composition(c)}"
+
     for c in iter_compositions(n):
         count += 1
-        text = f"n={n} c={format_composition(c)}"
         cc = conjugate_composition(c)
         if conjugate_composition(cc) != c:
-            _fail(fails, "comp-conjugate-involution", text)
+            _fail(fails, "comp-conjugate-involution", text())
         if len(c.parts) + len(cc.parts) != n + 1:
-            _fail(fails, "comp-length-law", text)
+            _fail(fails, "comp-length-law", text())
         if strip_conjugate(c) != cc:
             _fail(
                 fails,
                 "comp-strip-agreement",
-                f"{text} strip={format_composition(strip_conjugate(c))} "
+                f"{text()} strip={format_composition(strip_conjugate(c))} "
                 f"flip={format_composition(cc)}",
             )
         mu_c, nu_c = mu(c), nu(c)
-        dist_key = (mu_c, nu_c)
-        dist[dist_key] = dist.get(dist_key, 0) + 1
+        dist[mu_c, nu_c] = dist.get((mu_c, nu_c), 0) + 1
         if n >= 2:
             if mu(cc) != nu_c or nu(cc) != mu_c:
-                _fail(fails, "comp-mu-nu-interchange", text)
+                _fail(fails, "comp-mu-nu-interchange", text())
             path = to_path(c)
             if mu_path(path) != mu_c or nu_path(path) != nu_c:
-                _fail(fails, "comp-path-agreement", text)
+                _fail(fails, "comp-path-agreement", text())
             if mu_path(flip_path(path)) != nu_path(path):
-                _fail(fails, "comp-path-flip-duality", text)
+                _fail(fails, "comp-path-flip-duality", text())
         if keep:
             comps.append(c)
     if count != 2 ** (n - 1):
@@ -404,11 +399,12 @@ def _fixed_checks() -> dict:
     for supp in sorted(supports, key=lambda s: (len(s), s)):
         for p in iter_set_partitions_of(supp):
             items += 1
+            q = phi(p)
             ok = (
                 combine_is(separate_is(p)) == p
                 and combine_st(separate_st(p)) == p
-                and phi_inverse(phi(p)) == p
-                and phi(p).support == p.support
+                and phi_inverse(q) == p
+                and q.support == p.support
             )
             if not ok:
                 _fail(fails, "subset-support-roundtrip", f"support={supp} p={format_partition(p)}")
@@ -433,17 +429,20 @@ def _fixed_checks() -> dict:
             _fail(fails, "sparse-random-spot", f"support={supp} p={format_partition(p)}")
 
     # One-element support: the element is initiator, terminator and
-    # singleton at once, and counts one adjacency.
+    # singleton at once, and counts one adjacency.  The combine domain
+    # takes an element as both only while it is the whole universe.
     for a in (1, 7, 60):
         p = SetPartition(((a,),))
         prof = adjacency_profile(p)
         one = frozenset({a})
+        beside = SetPartition(((a + 1,),))
         ok = (
             prof.initiators == one
             and prof.terminators == one
             and prof.singletons == one
             and prof.adjacency_count == 1
             and phi(p) == p
+            and not combine_domain_ok(SeparationRecord(beside, one, one, ROLE_IS))
         )
         if a == 1:
             ok = ok and conjugate(p, 1) == p
@@ -474,7 +473,7 @@ def _fixed_checks() -> dict:
         and not prof.initiators
         and not prof.singletons
         and prof.adjacency_count == 0
-        and format_partition(EMPTY) == ""
+        and str(EMPTY) == ""
         and parse_partition("") == EMPTY
     )
     if not ok:
@@ -588,8 +587,8 @@ def verify_suite(n_max: int = 10, comp_n_max: int = 16, jobs: int = 1) -> Verify
     # a partition shard of n ranks 2n - 6 plus the number of blocks its
     # prefix opens (its completions grow with them), the fixed checks 15;
     # ties keep task order.  Alone on a 2 vCPU Xeon (CPython 3.11): the n=9
-    # shard (0,1,2,3) 2.5 s (rank 16), composition_sweep(16) 1.8 s, the
-    # fixed checks 1.3 s, the n=9 shards opening three blocks 0.8-1.3 s.
+    # shard (0,1,2,3) 2.1 s (rank 16), composition_sweep(16) 1.3 s, the
+    # fixed checks 1.2 s, the n=9 shards opening three blocks 0.7-1.1 s.
     shards = [(n, prefix) for n in range(1, n_max + 1) for prefix in _shards_for(n, jobs)]
     tasks = [(2 * n - 6 + len(set(prefix)), partition_shard, (n, prefix)) for n, prefix in shards]
     tasks += [(m, composition_sweep, (m,)) for m in range(1, comp_n_max + 1)]

@@ -57,6 +57,21 @@ class TestCompositionType:
         with pytest.raises(ValueError, match="positive integers"):
             Composition(parts)
 
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((), "composition needs at least one part"),
+            ((0,), "parts must be positive integers: (0,)"),
+            ((True, 2), "parts must be positive integers: (True, 2)"),
+            ((1.0,), "parts must be positive integers: (1.0,)"),
+            (("a",), "parts must be positive integers: ('a',)"),
+        ],
+    )
+    def test_refusal_messages(self, parts, message):
+        with pytest.raises(ValueError) as err:
+            Composition(parts)
+        assert str(err.value) == message
+
     def test_n_and_str(self):
         c = C((2, 1, 2, 3))
         assert c.n == 8
@@ -122,6 +137,14 @@ class TestConjugation:
         for n in range(1, 13):
             for c in iter_compositions(n):
                 assert len(conjugate_composition(c).parts) == n + 1 - len(c.parts)
+
+    def test_equals_cut_set_complement(self):
+        # The construction from the parts against the definition.
+        for n in range(1, 15):
+            for c in iter_compositions(n):
+                cuts = to_subset(c)
+                flipped = from_subset((i for i in range(1, n) if i not in cuts), n)
+                assert conjugate_composition(c) == flipped
 
     def test_strip_transfer_agrees_with_path_flip(self):
         assert strip_conjugate(C((4, 2, 1, 2, 1, 1, 1, 3))) == C(

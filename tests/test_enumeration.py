@@ -101,6 +101,34 @@ class TestArbitrarySupports:
         assert a == b
         assert a.support == tuple(range(1, 12))
 
+    @pytest.mark.parametrize(
+        "support, why",
+        [
+            ([0, -1, True, 1], "not a positive integer"),
+            ([2, 2, 3], "appears more than once"),
+        ],
+    )
+    def test_random_partition_rejects_bad_support(self, support, why):
+        with pytest.raises(InvalidPartitionError, match=why):
+            random_partition(support, random.Random(1))
+
+    def test_random_partition_draws_as_a_growth_string(self):
+        # One randrange per element in increasing order, the new block
+        # last: the draws that the sparse verify trials are pinned on.
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            support = rng.sample(range(1, 80), 1 + seed)
+            ref.sample(range(1, 80), 1 + seed)
+            blocks = []
+            for x in sorted(support):
+                j = ref.randrange(len(blocks) + 1)
+                if j == len(blocks):
+                    blocks.append([x])
+                else:
+                    blocks[j].append(x)
+            assert random_partition(support, rng).blocks == tuple(map(tuple, blocks))
+            assert rng.getstate() == ref.getstate()
+
 
 class TestCompositionsEnumeration:
     @pytest.mark.parametrize("n", range(1, 13))

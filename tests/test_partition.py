@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from conjlab import (
@@ -63,6 +65,38 @@ class TestCanonicalForm:
     def test_support_is_sorted_union(self):
         p = canonicalize([[9, 2], [5]])
         assert p.support == (2, 5, 9)
+
+    def test_support_is_computed_once(self, monkeypatch):
+        calls = []
+        cache = vars(SetPartition)["support"]
+        inner = cache.fn
+        monkeypatch.setattr(cache, "fn", lambda p: calls.append(p) or inner(p))
+        p = parse_partition("3 - 1 2")
+        assert p.support is p.support == (1, 2, 3)
+        assert calls == [p]
+
+    def test_cached_support_leaves_eq_hash_and_pickle_alone(self):
+        blocks = ((1, 3), (2,))
+        fresh, read = SetPartition(blocks), SetPartition(blocks)
+        assert read.support == (1, 2, 3)
+        assert fresh == read and hash(fresh) == hash(read) == hash(SetPartition(blocks))
+        assert fresh != SetPartition(((1,), (2, 3)))
+        # Protocol 4 bytes, as with functools.cached_property: the cached
+        # support is pickled once it has been read.
+        assert pickle.dumps(fresh, 4) == (
+            b"\x80\x04\x95B\x00\x00\x00\x00\x00\x00\x00\x8c\x11conjlab.partition\x94"
+            b"\x8c\x0cSetPartition\x94\x93\x94)\x81\x94}\x94"
+            b"\x8c\x06blocks\x94K\x01K\x03\x86\x94K\x02\x85\x94\x86\x94sb."
+        )
+        assert pickle.dumps(read, 4) == (
+            b"\x80\x04\x95U\x00\x00\x00\x00\x00\x00\x00\x8c\x11conjlab.partition\x94"
+            b"\x8c\x0cSetPartition\x94\x93\x94)\x81\x94}\x94("
+            b"\x8c\x06blocks\x94K\x01K\x03\x86\x94K\x02\x85\x94\x86\x94"
+            b"\x8c\x07support\x94K\x01K\x02K\x03\x87\x94ub."
+        )
+        for p in (fresh, read):
+            back = pickle.loads(pickle.dumps(p))
+            assert back == p and back.support == (1, 2, 3)
 
     def test_blocks_json_roundtrip(self):
         p = parse_partition("1 5 8 - 2 - 3 - 4 - 6 7")

@@ -133,6 +133,19 @@ class TestExhaustiveSmall:
             assert cprof.adjacency_count == len(prof.singletons)
 
 
+class TestPhiAndCore:
+    """verify takes phi(p) and reduce_core(p) from one strip."""
+
+    def test_small_partitions(self):
+        for n in range(9):
+            for p in all_partitions(n):
+                assert phi_module._phi_and_core(p) == (phi(p), reduce_core(p))
+
+    def test_scattered_supports(self, sparse_samples):
+        for p in sparse_samples:
+            assert phi_module._phi_and_core(p) == (phi(p), reduce_core(p))
+
+
 class TestSparseSupports:
     def test_phi_on_scattered_supports(self, sparse_samples):
         for p in sparse_samples:
@@ -237,6 +250,11 @@ class TestWorklist:
         assert reduce_core(p) == P("74 76 - 75 77")
         worklist_calls.clear()
         self.check(p)
+        assert len(worklist_calls) == 3
+
+    def test_phi_and_core_from_one_strip_on_a_deep_rainbow(self, worklist_calls):
+        p = rainbow(300, core=[(1, 3), (2, 4)])
+        assert phi_module._phi_and_core(p) == (phi(p), reduce_core(p))
         assert len(worklist_calls) == 3
 
     def test_default_budget_keeps_small_strips_scanning(self, worklist_calls):

@@ -96,6 +96,12 @@ class TestCombineDomain:
         with pytest.raises(CombineDomainError):
             combine_is(rec)
 
+    def test_overlap_between_non_neighbours_rejected(self):
+        # The cyclic-predecessor test alone would let 1 pass as both a
+        # singleton and a terminator: its neighbours 2 and 3 are in neither.
+        rec = SeparationRecord(P("2 3"), frozenset({1}), frozenset({1}), ROLE_ST)
+        assert not combine_domain_ok(rec)
+
     def test_intersecting_support_rejected(self):
         rec = SeparationRecord(P("1 2"), frozenset({2}), frozenset(), ROLE_IS)
         assert not combine_domain_ok(rec)

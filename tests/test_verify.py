@@ -2,9 +2,11 @@ import concurrent.futures
 from concurrent.futures import Future
 import hashlib
 import importlib
+import inspect
 import json
 import multiprocessing
 from pathlib import Path
+import textwrap
 
 import pytest
 
@@ -14,6 +16,7 @@ from conjlab.compositions import Composition, conjugate_composition, mu
 from conjlab.separate import _combine
 
 phi_module = importlib.import_module("conjlab.phi")
+separate_module = importlib.import_module("conjlab.separate")
 verify_module = importlib.import_module("conjlab.verify")
 
 # Pinned outputs of the benchmark, read-only here.
@@ -33,6 +36,21 @@ def reversed_conjugate_composition(c):
 
 def mu_off_at_n1(c):
     return mu(c) + (c.n == 1)
+
+
+def source_mutant(module, name, old, new):
+    """module.name recompiled from its own source with the text old,
+    which must occur exactly once, replaced by new."""
+    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert src.count(old) == 1, f"{old!r} not once in {name}"
+    namespace = dict(vars(module))
+    exec(compile(src.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def failing(report):
+    """{invariant: counterexample} over the failed rows of a report."""
+    return {r.invariant: r.counterexample for r in report.results if not r.ok}
 
 
 class TestSuitePasses:
@@ -163,8 +181,11 @@ class TestMutationDetection:
             "trace-record-inverse",
             "reverse-phase-exactness",
         }
-        assert failure.counterexample
         assert failure.failures >= 1
+        assert failing(report) == {
+            "phi-trace-agreement": "n=2 p=1 2",
+            "reverse-phase-exactness": "n=2 p=1 2 j=1",
+        }
         if multiprocessing.get_start_method() == "fork":
             # Only forked workers inherit the patched module.
             multi = verify_suite(n_max=3, comp_n_max=2, jobs=3)
@@ -180,9 +201,12 @@ class TestMutationDetection:
             (
                 "conjugate_composition",
                 reversed_conjugate_composition,
-                {"comp-strip-agreement", "comp-sorted-palindrome"},
+                {
+                    "comp-strip-agreement": "n=3 c=1,2 strip=2,1 flip=1,2",
+                    "comp-sorted-palindrome": "n=3 position=1 c=1,2",
+                },
             ),
-            ("mu", mu_off_at_n1, {"mu-nu-n1-exception"}),
+            ("mu", mu_off_at_n1, {"mu-nu-n1-exception": "stats=(1, 1) conj_stats=(1, 1)"}),
         ],
     )
     def test_pooled_tail_failures_match_serial(self, monkeypatch, name, mutant, caught):
@@ -190,7 +214,47 @@ class TestMutationDetection:
         # failures must reach the report exactly as in a one-job run.
         monkeypatch.setattr(verify_module, name, mutant)
         report = verify_suite(n_max=3, comp_n_max=6, jobs=1)
-        assert {r.invariant for r in report.results if not r.ok} == caught
+        assert failing(report) == caught
         if multiprocessing.get_start_method() == "fork":
             multi = verify_suite(n_max=3, comp_n_max=6, jobs=3)
             assert multi.to_records() == report.to_records()
+
+
+class TestCounterexampleText:
+    def test_built_only_on_failure(self, monkeypatch):
+        calls = []
+        for name in ("format_partition", "format_composition"):
+
+            def counted(x, real=getattr(verify_module, name), name=name):
+                calls.append(name)
+                return real(x)
+
+            monkeypatch.setattr(verify_module, name, counted)
+        assert verify_suite(n_max=6, comp_n_max=8).ok
+        assert calls == []
+        # The counters see the text of a failing run.
+        monkeypatch.setattr(verify_module, "conjugate_composition", reversed_conjugate_composition)
+        assert not verify_suite(n_max=1, comp_n_max=3).ok
+        assert "format_composition" in calls
+
+
+class TestRecordPrimitiveMutants:
+    """Mutants of the record-based combine must fail a small verify run."""
+
+    def test_domain_without_set_disjointness(self, monkeypatch):
+        # Records that separate makes never repeat an element in both
+        # sets, so only the one-element-convention probe sees this one.
+        mutant = source_mutant(
+            separate_module, "combine_domain_ok", " and a_set.isdisjoint(b_set)", ""
+        )
+        monkeypatch.setattr(separate_module, "combine_domain_ok", mutant)
+        monkeypatch.setattr(verify_module, "combine_domain_ok", mutant)
+        report = verify_suite(n_max=4, comp_n_max=2)
+        assert failing(report) == {"one-element-convention": "a=1"}
+
+    def test_combine_neighbour_off_by_one(self, monkeypatch):
+        mutant = source_mutant(separate_module, "_combine", "(i + step)", "(i + step + 1)")
+        monkeypatch.setattr(separate_module, "_combine", mutant)
+        report = verify_suite(n_max=4, comp_n_max=2)
+        assert failing(report)["separate-combine-roundtrip"] == "n=2 p=1 2"
+        assert "subset-support-roundtrip" in failing(report)
