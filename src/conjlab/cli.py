@@ -25,7 +25,6 @@ or symmetry failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import DomainError, ParseError
@@ -73,6 +72,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(use_json: bool, payload: dict, text: str) -> None:
     if use_json:
+        import json
+
         print(json.dumps(payload))
     else:
         print(text)

@@ -16,11 +16,10 @@ path form is empty and scores (0, 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, ParseError
-from .partition import parse_positive
+from .partition import _Frozen, parse_positive
 
 # The path alphabet; a path is a plain str over it.
 STEP_EAST = "E"
@@ -28,14 +27,12 @@ STEP_NORTH = "N"
 _FLIP = str.maketrans("EN", "NE")
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(_Frozen):
     """An ordered tuple of positive parts."""
 
-    parts: tuple[int, ...]
+    _field = "parts"
 
-    def __post_init__(self):
-        parts = self.parts
+    def __init__(self, parts: tuple[int, ...]):
         if not parts:
             raise ValueError("composition needs at least one part")
         if set(map(type, parts)) == {int}:
@@ -44,6 +41,7 @@ class Composition:
             bad = any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in parts)
         if bad:
             raise ValueError(f"parts must be positive integers: {parts!r}")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def n(self) -> int:

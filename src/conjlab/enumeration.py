@@ -9,8 +9,7 @@ shards cover the whole space exactly once and can run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .compositions import Composition, mu, nu
 from .partition import EMPTY, SetPartition, adjacency_profile, canonicalize
@@ -168,8 +167,7 @@ PAIR_SING_ADJ = "sing-adj"
 PAIR_MU_NU = "mu-nu"
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(NamedTuple):
     """Joint counts of a statistic pair over all objects of one size."""
 
     n: int

@@ -16,7 +16,6 @@ partition is the empty string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -43,8 +42,28 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class _Frozen:
+    """A value of one field, named in _field, set by object.__setattr__."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return getattr(self, self._field) == getattr(other, self._field)
+
+    def __hash__(self):
+        return hash((getattr(self, self._field),))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._field}={getattr(self, self._field)!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SetPartition(_Frozen):
     """A canonical set partition.
 
     Construct through canonicalize() or parse_partition() unless the block
@@ -52,7 +71,10 @@ class SetPartition:
     minimum, pairwise disjoint).
     """
 
-    blocks: tuple[tuple[int, ...], ...]
+    _field = "blocks"
+
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "blocks", blocks)
 
     @_cached
     def support(self) -> tuple[int, ...]:
@@ -93,12 +115,12 @@ def support_size(blocks) -> tuple[int, bool]:
     return m, not m or max(map(_last, blocks)) == m
 
 
-def ranks(blocks):
+def ranks(blocks, size=None):
     """(m, labels, bid): the rank view of canonical blocks over a support
     of size m.  labels[r] is the element of rank r, 1 <= r <= m (None when
     the support is {1..m}, so a rank is its element), and bid[r] the index
-    of the block holding rank r."""
-    m, full = support_size(blocks)
+    of the block holding rank r.  size is support_size(blocks), if known."""
+    m, full = size or support_size(blocks)
     if full:
         bid = [0] * (m + 1)
         for i, blk in enumerate(blocks):
@@ -117,7 +139,7 @@ def adjacency_profile(p: SetPartition) -> AdjacencyProfile:
         return _EMPTY_PROFILE
     initiators = []
     terminators = []
-    m, full = support_size(blocks)
+    size = m, full = support_size(blocks)
     if full:
         # Support {1..m}: u and succ(u) = u + 1 share a block exactly when
         # they are consecutive in it; the pair (m, 1) does when the block
@@ -133,7 +155,7 @@ def adjacency_profile(p: SetPartition) -> AdjacencyProfile:
             initiators.append(m)
             terminators.append(1)
     else:
-        _, labels, bid = ranks(blocks)
+        _, labels, bid = ranks(blocks, size)
         prev = m
         for r in range(1, m + 1):
             if bid[r] == bid[prev]:
@@ -190,9 +212,13 @@ def complement(p: SetPartition, n: int) -> SetPartition:
     terminators trade places while singleton status is preserved.
     """
     require_full_support(p, n)
+    return _complement(p, n)
+
+
+def _complement(p: SetPartition, n: int) -> SetPartition:
+    """complement(p, n) for a caller that has checked the support of p."""
     flip = (n + 1).__sub__
-    blocks = sorted([tuple(map(flip, reversed(blk))) for blk in p.blocks])
-    return SetPartition(tuple(blocks))
+    return SetPartition(tuple(sorted([tuple(map(flip, reversed(blk))) for blk in p.blocks])))
 
 
 def format_partition(p: SetPartition) -> str:

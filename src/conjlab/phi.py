@@ -26,10 +26,9 @@ list of the live elements, and is O(m) on every input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .partition import SetPartition, complement, ranks, require_full_support
+from .partition import SetPartition, _complement, ranks, require_full_support
 from .separate import ROLE_ST, SeparationRecord, combine_st, separate_is
 
 # Passes over the support a strip may scan before it moves to the
@@ -240,8 +239,7 @@ class ReverseRow(NamedTuple):
     tau: SetPartition
 
 
-@dataclass(frozen=True)
-class PhiTrace:
+class PhiTrace(NamedTuple):
     """Full record of one phi computation.
 
     forward_rows[j-1] holds (j, rho_j, I_j, S_j) for j = 1..k, where
@@ -295,4 +293,4 @@ def conjugate(p: SetPartition, n: int) -> SetPartition:
     Like phi it interchanges the singleton count with the adjacency count.
     """
     require_full_support(p, n)
-    return complement(phi(p), n)
+    return _complement(phi(p), n)

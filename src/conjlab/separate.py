@@ -17,7 +17,7 @@ fail off that range; see the round-trip tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CombineDomainError
 from .partition import EMPTY, SetPartition, adjacency_profile, format_partition
@@ -26,8 +26,7 @@ ROLE_IS = "IS"
 ROLE_ST = "ST"
 
 
-@dataclass(frozen=True)
-class SeparationRecord:
+class SeparationRecord(NamedTuple):
     """A reduced partition plus the element sets stripped from it.
 
     role "IS": a_set holds adjacency initiators, b_set singletons.

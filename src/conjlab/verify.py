@@ -23,8 +23,8 @@ takes one table row plus its check (a _fail call in the sweep).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 import random
+from typing import NamedTuple
 
 from .compositions import (
     Composition,
@@ -95,8 +95,7 @@ SPARSE_SEED = 20240811
 _SHARD_DEPTH = 4  # RGS prefix length for parallel shards
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one invariant over its whole scope."""
 
     invariant: str
@@ -110,8 +109,7 @@ class CheckResult:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     n_max: int
     comp_n_max: int
     results: tuple[CheckResult, ...]
@@ -125,10 +123,7 @@ class VerifyReport:
         return sum(r.items for r in self.results)
 
     def first_failure(self) -> CheckResult | None:
-        for r in self.results:
-            if not r.ok:
-                return r
-        return None
+        return next((r for r in self.results if not r.ok), None)
 
     def to_records(self) -> list[dict]:
         return [

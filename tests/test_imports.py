@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, since this process has long since
 imported every module.
 """
 
+import ast
 import json
 import os
 from pathlib import Path
@@ -148,6 +149,54 @@ class TestDeferredImports:
         assert "conjlab.verify" in modules
         assert "concurrent.futures.process" not in modules
         assert "multiprocessing" not in modules
+
+
+class TestHeavyStdlibModules:
+    """No command loads dataclasses (which brings inspect, ast, dis and
+    tokenize), and only --json loads json.  loaded_after imports json
+    itself, so these checks print the module list with repr on stderr."""
+
+    HEAVY = ("dataclasses", "inspect", "json")
+    # The commands of the benchmark's cli-oneshot mix.
+    COMMANDS = [
+        ["phi", "1 - 2 - 3 11 12 - 4 7 10 - 5 9 - 6 8"],
+        ["trace", "1 - 2 - 3 11 12 - 4 7 10 - 5 9 - 6 8"],
+        ["conjugate", "1 5 8 - 2 - 3 - 4 - 6 7"],
+        ["kreweras", "1 5 8 - 2 - 3 - 4 - 6 7"],
+        ["comp", "conjugate", "2,1,2,3"],
+        ["render", "path", "2,1,2,3"],
+        ["enumerate", "--n", "6", "--table", "sing-adj"],
+    ]
+
+    @staticmethod
+    def modules_after(code: str) -> set[str]:
+        out = run_python("-c", code + "\nimport sys; print(repr(sorted(sys.modules)), file=sys.stderr)")
+        return set(ast.literal_eval(out.stderr.splitlines()[-1]))
+
+    def modules_after_command(self, argv: list[str]) -> set[str]:
+        code = (
+            "import runpy, sys\n"
+            f"sys.argv = ['conjlab', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('conjlab', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+        )
+        return self.modules_after(code)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+    def test_command_loads_none(self, argv):
+        assert self.modules_after_command(argv).isdisjoint(self.HEAVY)
+
+    def test_json_flag_loads_json(self):
+        modules = self.modules_after_command(["--json", "phi", "1 3 - 2 4"])
+        assert "json" in modules
+        assert "dataclasses" not in modules
+
+    def test_verify_module_loads_no_dataclasses(self):
+        modules = self.modules_after("import conjlab.verify")
+        assert "conjlab.verify" in modules
+        assert modules.isdisjoint(("dataclasses", "inspect"))
 
 
 class TestPublicNames:

@@ -1,0 +1,141 @@
+"""Value semantics of the library's classes, and how often the support of
+a partition is measured or checked.
+
+The expected values were recorded from the frozen-dataclass versions of
+SetPartition and Composition, and from the dataclass records.
+"""
+
+import importlib
+
+import pytest
+
+from conjlab import (
+    Composition,
+    DistributionTable,
+    DomainError,
+    PhiTrace,
+    SeparationRecord,
+    SetPartition,
+    VerifyReport,
+    complement,
+    conjugate,
+    parse_partition,
+    partition,
+)
+from conjlab.verify import CheckResult
+
+# conjlab.phi is the function; its module is imported by name.
+phi_module = importlib.import_module("conjlab.phi")
+
+BLOCKS = ((1, 3), (2,))
+PARTS = (2, 1, 2, 3)
+
+# (value, an equal value, an unequal value, its field, the field's name, repr)
+VALUES = [
+    (
+        SetPartition(BLOCKS),
+        SetPartition(((1, 3), (2,))),
+        SetPartition(((1,), (2, 3))),
+        BLOCKS,
+        "blocks",
+        "SetPartition(blocks=((1, 3), (2,)))",
+    ),
+    (
+        Composition(PARTS),
+        Composition((2, 1, 2, 3)),
+        Composition((3, 2, 1, 2)),
+        PARTS,
+        "parts",
+        "Composition(parts=(2, 1, 2, 3))",
+    ),
+]
+IDS = ["SetPartition", "Composition"]
+
+
+@pytest.mark.parametrize("value, same, other, field, name, text", VALUES, ids=IDS)
+class TestOneFieldValues:
+    def test_equality(self, value, same, other, field, name, text):
+        assert value == same and not value != same
+        assert value != other and not value == other
+
+    def test_never_equal_to_a_plain_tuple(self, value, same, other, field, name, text):
+        for plain in (field, (field,)):
+            assert value != plain and not value == plain
+            assert plain != value and not plain == value
+
+    def test_hash_is_that_of_the_field_tuple(self, value, same, other, field, name, text):
+        assert hash(value) == hash(same) == hash((field,))
+
+    def test_repr(self, value, same, other, field, name, text):
+        assert repr(value) == text
+
+    def test_fields_cannot_be_assigned_or_deleted(self, value, same, other, field, name, text):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, field)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+        with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+            value.extra = 1
+        assert getattr(value, name) == field
+
+
+@pytest.mark.parametrize(
+    "record, fields, defaults",
+    [
+        (SeparationRecord, ("rho", "a_set", "b_set", "role"), {}),
+        (PhiTrace, ("forward_rows", "reverse_rows", "k"), {}),
+        (DistributionTable, ("n", "pair", "counts"), {}),
+        (
+            CheckResult,
+            ("invariant", "scope", "items", "failures", "counterexample"),
+            {"counterexample": None},
+        ),
+        (VerifyReport, ("n_max", "comp_n_max", "results"), {}),
+    ],
+)
+def test_record_fields_and_defaults(record, fields, defaults):
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+
+
+def test_record_hash_is_that_of_its_fields():
+    rec = SeparationRecord(parse_partition("1 3"), frozenset({2}), frozenset(), "IS")
+    assert hash(rec) == hash((rec.rho, rec.a_set, rec.b_set, rec.role))
+
+
+@pytest.mark.parametrize("text", ["2 5 - 3", "1 2 - 3"])
+def test_adjacency_profile_sizes_the_support_once(monkeypatch, text):
+    calls = []
+    inner = partition.support_size
+    monkeypatch.setattr(partition, "support_size", lambda blocks: calls.append(blocks) or inner(blocks))
+    partition.adjacency_profile(parse_partition(text))
+    assert len(calls) == 1
+
+
+def test_conjugate_checks_the_support_once(monkeypatch):
+    checked = []
+    inner = partition.require_full_support
+    for module in (phi_module, partition):
+        monkeypatch.setattr(
+            module, "require_full_support", lambda p, n: checked.append(p) or inner(p, n)
+        )
+    p = parse_partition("1 5 8 - 2 - 3 - 4 - 6 7")
+    assert conjugate(p, 8) == parse_partition("1 - 2 4 - 3 - 5 6 7 8")
+    assert checked == [p]
+
+
+@pytest.mark.parametrize(
+    "text, n, message",
+    [
+        ("2 - 3", 2, "support of '2 - 3' is not 1..2"),
+        ("1 2", 3, "support of '1 2' is not 1..3"),
+        ("1 3", 2, "support of '1 3' is not 1..2"),
+        ("", 0, "support of '(empty)' is not 1..0"),
+    ],
+)
+def test_support_errors_name_the_input(text, n, message):
+    p = parse_partition(text)
+    for fn in (conjugate, complement):
+        with pytest.raises(DomainError) as err:
+            fn(p, n)
+        assert str(err.value) == message
