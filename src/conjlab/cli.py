@@ -29,6 +29,7 @@ import sys
 
 from .errors import DomainError, ParseError
 from .partition import (
+    _complement,
     complement,
     format_partition,
     inferred_n,
@@ -46,8 +47,6 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
 
-ENUM_PARTITION_CAP = 12
-ENUM_COMPOSITION_CAP = 20
 # Largest --n of a plain Bell count.  B(n) takes O(n^2) big-integer
 # additions, and str() refuses more than 4,300 digits (B(2500) has more);
 # B(1000) has 1,928 digits.
@@ -115,7 +114,7 @@ def cmd_kreweras(args, use_json: bool) -> int:
     p = parse_partition(args.partition)
     n = inferred_n(p)
     kc = kreweras_complement(p)  # DomainError names a crossing
-    gc = complement(kc, n)  # graphical_conjugate(p), reusing kc
+    gc = _complement(kc, n)  # graphical_conjugate(p), reusing kc
     payload = {
         "input": partition_to_blocks(p),
         "kreweras": partition_to_blocks(kc),
@@ -210,6 +209,8 @@ def _format_table(counts: dict) -> list[str]:
 
 def cmd_enumerate(args, use_json: bool) -> int:
     from .enumeration import (
+        COMP_N_MAX_HARD,
+        N_MAX_HARD,
         PAIR_MU_NU,
         PAIR_SING_ADJ,
         bell_number,
@@ -222,27 +223,21 @@ def cmd_enumerate(args, use_json: bool) -> int:
         print("conjlab enumerate: error: --n must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     needs_partitions = args.noncrossing or args.table == PAIR_SING_ADJ
-    if needs_partitions and n > ENUM_PARTITION_CAP:
-        print(
-            f"conjlab: error: exhaustive partition enumeration is capped at "
-            f"n={ENUM_PARTITION_CAP}; rerun with --n {ENUM_PARTITION_CAP} or lower",
-            file=sys.stderr,
+    if needs_partitions and n > N_MAX_HARD:
+        raise DomainError(
+            f"exhaustive partition enumeration is capped at n={N_MAX_HARD}; "
+            f"rerun with --n {N_MAX_HARD} or lower"
         )
-        return EXIT_DOMAIN
     if args.table != PAIR_MU_NU and n > ENUM_BELL_CAP:
-        print(
-            f"conjlab: error: Bell numbers are capped at n={ENUM_BELL_CAP}; "
-            f"rerun with --n {ENUM_BELL_CAP} or lower",
-            file=sys.stderr,
+        raise DomainError(
+            f"Bell numbers are capped at n={ENUM_BELL_CAP}; "
+            f"rerun with --n {ENUM_BELL_CAP} or lower"
         )
-        return EXIT_DOMAIN
-    if args.table == PAIR_MU_NU and n > ENUM_COMPOSITION_CAP:
-        print(
-            f"conjlab: error: exhaustive composition enumeration is capped at "
-            f"n={ENUM_COMPOSITION_CAP}; rerun with --n {ENUM_COMPOSITION_CAP} or lower",
-            file=sys.stderr,
+    if args.table == PAIR_MU_NU and n > COMP_N_MAX_HARD:
+        raise DomainError(
+            f"exhaustive composition enumeration is capped at n={COMP_N_MAX_HARD}; "
+            f"rerun with --n {COMP_N_MAX_HARD} or lower"
         )
-        return EXIT_DOMAIN
 
     payload: dict = {"n": n}
     lines: list[str] = []

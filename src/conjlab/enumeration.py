@@ -14,6 +14,11 @@ from typing import Iterable, Iterator, NamedTuple
 from .compositions import Composition, mu, nu
 from .partition import EMPTY, SetPartition, adjacency_profile, canonicalize
 
+# Largest n of an exhaustive sweep, in conjlab verify and conjlab
+# enumerate: B(12) = 4,213,597 partitions of [12], 2^19 compositions of 20.
+N_MAX_HARD = 12
+COMP_N_MAX_HARD = 20
+
 
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-element set (triangle recurrence)."""

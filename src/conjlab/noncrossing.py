@@ -19,7 +19,7 @@ input in the same scan.
 from __future__ import annotations
 
 from .errors import DomainError
-from .partition import EMPTY, SetPartition, complement, ranks, require_full_support, support_size
+from .partition import EMPTY, SetPartition, _complement, inferred_n, ranks
 
 
 def find_crossing(p: SetPartition):
@@ -68,11 +68,11 @@ def kreweras_complement(p: SetPartition) -> SetPartition:
     equals phi(p), an independent computation that the tests and verify
     check it against.
     """
-    n, _, bid = ranks(p.blocks)
-    if not n:
-        return EMPTY
-    require_full_support(p, n)
     blocks = p.blocks
+    if not blocks:
+        return EMPTY
+    n = inferred_n(p)
+    _, _, bid = ranks(blocks, (n, True))
     stack: list[list[int]] = []  # [block index, elements consumed]
     regions: dict[tuple[int, int], list[int]] = {}
     for x in range(1, n + 1):
@@ -97,9 +97,8 @@ def graphical_conjugate(p: SetPartition) -> SetPartition:
 
     Coincides with conjugate on noncrossing partitions.
     """
-    n, _ = support_size(p.blocks)
-    k = kreweras_complement(p)
-    return complement(k, n) if n else EMPTY
+    k = kreweras_complement(p)  # checks that supp(p) = {1..n}
+    return _complement(k, sum(map(len, p.blocks)))
 
 
 def rotate_partition(p: SetPartition, shift: int) -> SetPartition:
@@ -107,10 +106,9 @@ def rotate_partition(p: SetPartition, shift: int) -> SetPartition:
 
     Applying the Kreweras complement twice equals rotate_partition(p, -1).
     """
-    n, _ = support_size(p.blocks)
-    if n == 0:
+    if not p.blocks:
         return EMPTY
-    require_full_support(p, n)
+    n = inferred_n(p)
     blocks = sorted(
         tuple(sorted((x - 1 + shift) % n + 1 for x in blk)) for blk in p.blocks
     )

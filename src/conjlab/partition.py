@@ -199,8 +199,9 @@ def require_full_support(p: SetPartition, n: int) -> None:
 
 
 def inferred_n(p: SetPartition) -> int:
-    """The n with supp(p) = {1..n}; DomainError if the support has gaps."""
-    n, _ = support_size(p.blocks)
+    """The n with supp(p) = {1..n}; DomainError if the support has gaps.
+    n is the number of elements, and require_full_support decides."""
+    n = sum(map(len, p.blocks))
     require_full_support(p, n)
     return n
 
@@ -216,7 +217,8 @@ def complement(p: SetPartition, n: int) -> SetPartition:
 
 
 def _complement(p: SetPartition, n: int) -> SetPartition:
-    """complement(p, n) for a caller that has checked the support of p."""
+    """complement(p, n) without the support check, for a caller that has
+    checked the support of p or judges the result itself."""
     flip = (n + 1).__sub__
     return SetPartition(tuple(sorted([tuple(map(flip, reversed(blk))) for blk in p.blocks])))
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 import math
 
 from .compositions import Composition, to_path
-from .errors import DomainError
-from .partition import SetPartition, format_partition, partition_to_blocks
+from .partition import SetPartition, format_partition, partition_to_blocks, require_full_support
 from .phi import PhiTrace
 
 
@@ -114,12 +113,10 @@ def render_partition_svg(p: SetPartition, n: int, ccw: bool = False) -> str:
 
     Blocks of three or more elements appear as closed polygons, pairs as
     single chords, singletons as bare dots — the polygon diagram of a
-    noncrossing partition has no crossing chords.
+    noncrossing partition has no crossing chords.  DomainError unless
+    supp(p) = {1..n}.
     """
-    if p.support != tuple(range(1, n + 1)):
-        raise DomainError(
-            f"diagram needs support 1..{n}, got {{{format_partition(p)}}}"
-        )
+    require_full_support(p, n)
     pos = {i: _point(_vertex_angle(i, n, ccw), _SVG_RADIUS) for i in range(1, n + 1)}
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -41,6 +41,8 @@ from .compositions import (
     to_subset,
 )
 from .enumeration import (
+    COMP_N_MAX_HARD,
+    N_MAX_HARD,
     bell_number,
     catalan_number,
     iter_compositions,
@@ -59,8 +61,8 @@ from .noncrossing import (
 from .partition import (
     EMPTY,
     SetPartition,
+    _complement,
     adjacency_profile,
-    complement,
     format_partition,
     parse_partition,
 )
@@ -84,8 +86,6 @@ IMAGE_CAP = 10  # collecting the full image set of phi
 UNION_CAP = 10  # interleaved-union maximality
 PALINDROME_CAP = 14
 SUBSET_LEX_CAP = 12
-N_MAX_HARD = 12
-COMP_N_MAX_HARD = 20
 # Most worker processes a run may ask for.  The pool forks all of them at
 # once, and n_max = N_MAX_HARD makes at most 145 tasks, so more would only
 # cost processes.
@@ -194,8 +194,8 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             _fail(fails, "balance", text())
         if parse_on and parse_partition(str(p)) != p:
             _fail(fails, "parse-format-roundtrip", text())
-        cp = complement(p, n)
-        if complement(cp, n) != p:
+        cp = _complement(p, n)  # unchecked: a faulty map fails an invariant
+        if _complement(cp, n) != p:
             _fail(fails, "complement-involution", text())
         cprof = adjacency_profile(cp)
         m = n + 1
@@ -225,8 +225,8 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             _fail(fails, "phi-inverse-identity", text())
         if image is not None:
             image.add(q.blocks)
-        cq = complement(q, n)  # conjugate of p
-        involution_ok = conjugate(cq, n) == p
+        cq = _complement(q, n)  # conjugate of p
+        involution_ok = _complement(phi(cq), n) == p
         if not involution_ok:
             _fail(fails, "conjugate-involution", f"{text()} conj(p)={format_partition(cq)}")
         cqprof = adjacency_profile(cq)
@@ -267,7 +267,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             gp = kreweras_complement(p)
             if gp != q:
                 _fail(fails, "nc-graphical-phi", f"{text()} gaps={format_partition(gp)}")
-            if complement(gp, n) != cq:
+            if _complement(gp, n) != cq:
                 _fail(fails, "nc-graphical-conjugate", text())
             if not (involution_ok and conj_interchange_ok):
                 _fail(fails, "nc-conjugation-involution", text())
@@ -282,7 +282,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
         "nc": nc_count,
         "fails": fails,
         "dist": dist,
-        "image": sorted(image) if image is not None else None,
+        "image": image,
     }
 
 

@@ -135,9 +135,18 @@ class TestEnumerateCommand:
         assert "symmetric: yes" in out
 
     def test_too_large_for_exhaustive_mode(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "--n", "13", "--noncrossing")
-        assert code == 2
-        assert "capped" in err
+        for argv, err in [
+            (
+                ["--n", "13", "--noncrossing"],
+                "exhaustive partition enumeration is capped at n=12; rerun with --n 12 or lower",
+            ),
+            (["--n", "1001"], "Bell numbers are capped at n=1000; rerun with --n 1000 or lower"),
+            (
+                ["--n", "21", "--table", "mu-nu"],
+                "exhaustive composition enumeration is capped at n=20; rerun with --n 20 or lower",
+            ),
+        ]:
+            assert run_cli(capsys, "enumerate", *argv) == (2, "", f"conjlab: error: {err}\n")
 
     def test_nonpositive_n(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "0")

@@ -141,6 +141,15 @@ class TestDeferredImports:
 
         assert TABLE_PAIRS == (PAIR_SING_ADJ, PAIR_MU_NU)
 
+    def test_verify_bound_help_matches_enumeration(self):
+        from conjlab.cli import build_parser
+        from conjlab.enumeration import COMP_N_MAX_HARD, N_MAX_HARD
+
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        helps = {a.dest: a.help for a in commands.choices["verify"]._actions}
+        assert helps["n_max"] == f"partition bound (<= {N_MAX_HARD})"
+        assert helps["comp_n_max"] == f"composition bound (<= {COMP_N_MAX_HARD})"
+
     def test_serial_verify_starts_no_pool(self):
         modules = loaded_after(
             "from conjlab.cli import main\n"

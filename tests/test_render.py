@@ -74,8 +74,9 @@ class TestSvg:
         assert triangle.count("<line") == 0
 
     def test_requires_full_support(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as err:
             render_partition_svg(P("2 - 3"), 3)
+        assert str(err.value) == "support of '2 - 3' is not 1..3"
 
     def test_no_unstable_content(self):
         svg = render_partition_svg(FIGURE, 8)

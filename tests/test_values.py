@@ -5,6 +5,7 @@ The expected values were recorded from the frozen-dataclass versions of
 SetPartition and Composition, and from the dataclass records.
 """
 
+from collections import Counter
 import importlib
 
 import pytest
@@ -17,8 +18,10 @@ from conjlab import (
     SeparationRecord,
     SetPartition,
     VerifyReport,
+    cli,
     complement,
     conjugate,
+    noncrossing,
     parse_partition,
     partition,
 )
@@ -122,6 +125,37 @@ def test_conjugate_checks_the_support_once(monkeypatch):
     p = parse_partition("1 5 8 - 2 - 3 - 4 - 6 7")
     assert conjugate(p, 8) == parse_partition("1 - 2 4 - 3 - 5 6 7 8")
     assert checked == [p]
+
+
+FIGURE = "1 5 8 - 2 - 3 - 4 - 6 7"
+
+
+@pytest.mark.parametrize(
+    "call, sizings, gates",
+    [
+        (lambda: partition.inferred_n(parse_partition(FIGURE)), 1, 1),
+        (lambda: noncrossing.kreweras_complement(parse_partition(FIGURE)), 1, 1),
+        (lambda: noncrossing.rotate_partition(parse_partition(FIGURE), -1), 1, 1),
+        (lambda: noncrossing.graphical_conjugate(parse_partition(FIGURE)), 1, 1),
+        # The command checks its input, then kreweras_complement checks it.
+        (lambda: cli.main(["kreweras", FIGURE]), 2, 2),
+    ],
+    ids=["inferred_n", "kreweras_complement", "rotate_partition", "graphical_conjugate", "cli"],
+)
+def test_full_support_entry_points_size_and_check_once(monkeypatch, capsys, call, sizings, gates):
+    counts = Counter()
+    for name in ("support_size", "require_full_support"):
+        inner = getattr(partition, name)
+
+        def counted(*args, inner=inner, name=name):
+            counts[name] += 1
+            return inner(*args)
+
+        for module in (partition, phi_module, noncrossing, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    call()
+    assert counts == {"support_size": sizings, "require_full_support": gates}
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from conjlab.cli import main
 from conjlab.compositions import Composition, conjugate_composition, mu
 from conjlab.separate import _combine
 
+partition_module = importlib.import_module("conjlab.partition")
 phi_module = importlib.import_module("conjlab.phi")
 separate_module = importlib.import_module("conjlab.separate")
 verify_module = importlib.import_module("conjlab.verify")
@@ -258,3 +259,19 @@ class TestRecordPrimitiveMutants:
         report = verify_suite(n_max=4, comp_n_max=2)
         assert failing(report)["separate-combine-roundtrip"] == "n=2 p=1 2"
         assert "subset-support-roundtrip" in failing(report)
+
+
+class TestMapFaultIsAFailure:
+    """A faulty map fails invariants in the report; no support check on
+    what the sweep derives turns it into a DomainError."""
+
+    def test_complement_off_by_one(self, monkeypatch, capsys):
+        mutant = source_mutant(partition_module, "_complement", "(n + 1).__sub__", "(n + 2).__sub__")
+        for module in (partition_module, phi_module, verify_module):
+            monkeypatch.setattr(module, "_complement", mutant)
+        report = verify_suite(n_max=4, comp_n_max=2)
+        assert failing(report) == {"complement-role-swap": "n=1 p=1", "one-element-convention": "a=1"}
+        assert main(["verify", "--n-max", "4", "--comp-n-max", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == report.render() + "\n"
+        assert err == ""
