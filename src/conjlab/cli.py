@@ -78,11 +78,12 @@ def _emit(use_json: bool, payload: dict, text: str) -> None:
         print(text)
 
 
-# The one-partition maps: each prints the image of its argument.
+# The one-partition maps: each prints the image of its argument, and
+# checks that its support is 1..n itself.
 _MAPS = {
     "phi": phi,
-    "conjugate": lambda p: conjugate(p, inferred_n(p)),
-    "complement": lambda p: complement(p, inferred_n(p)),
+    "conjugate": lambda p: conjugate(p, sum(map(len, p.blocks))),
+    "complement": lambda p: complement(p, sum(map(len, p.blocks))),
 }
 
 
@@ -112,8 +113,9 @@ def cmd_kreweras(args, use_json: bool) -> int:
     from .noncrossing import format_gaps, kreweras_complement
 
     p = parse_partition(args.partition)
-    n = inferred_n(p)
-    kc = kreweras_complement(p)  # DomainError names a crossing
+    kc = kreweras_complement(p)  # checks the support; DomainError names a crossing
+    # Kreweras maps the empty partition to itself; inferred_n refuses it.
+    n = sum(map(len, p.blocks)) or inferred_n(p)
     gc = _complement(kc, n)  # graphical_conjugate(p), reusing kc
     payload = {
         "input": partition_to_blocks(p),

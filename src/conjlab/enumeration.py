@@ -4,6 +4,8 @@ Set partitions of {1..n} are generated one per restricted growth string
 (a_1 = 0, a_{i+1} <= 1 + max of the prefix) in lexicographic order, so an
 enumeration splits into independent sub-ranges by fixing a prefix; the
 shards cover the whole space exactly once and can run concurrently.
+Each partition carries its growth string, the form the partition kernels
+work on, as the rank view (n, None, (0, a_1, ..., a_n)) of its blocks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple
 
 from .compositions import Composition, mu, nu
-from .partition import EMPTY, SetPartition, adjacency_profile, canonicalize
+from .partition import EMPTY, SetPartition, _viewed, adjacency_profile, canonicalize
 
 # Largest n of an exhaustive sweep, in conjlab verify and conjlab
 # enumerate: B(12) = 4,213,597 partitions of [12], 2^19 compositions of 20.
@@ -121,17 +123,22 @@ def iter_set_partitions(
                 blocks.append([j + 1])
             else:
                 blocks[letter].append(j + 1)
-        yield SetPartition(tuple(map(tuple, blocks)))
+        yield _viewed(tuple(map(tuple, blocks)), (n, None, (0, *a)))
 
 
 def iter_set_partitions_of(elements: Iterable[int]) -> Iterator[SetPartition]:
     """All partitions of an arbitrary support: distinct positive integers,
-    else InvalidPartitionError before the first partition."""
-    labels = canonicalize([x] for x in elements).support
-    for p in iter_set_partitions(len(labels)):
-        yield SetPartition(
-            tuple(tuple([labels[x - 1] for x in blk]) for blk in p.blocks)
-        )
+    else InvalidPartitionError before the first partition.  Each carries
+    its rank view."""
+    support = canonicalize([x] for x in elements).support
+    m = len(support)
+    if not m or support[-1] == m:
+        yield from iter_set_partitions(m)
+        return
+    labels = [0, *support]
+    for p in iter_set_partitions(m):
+        blocks = tuple(tuple([labels[x] for x in blk]) for blk in p.blocks)
+        yield _viewed(blocks, (m, labels, p._view[2]))
 
 
 def random_partition(elements: Iterable[int], rng) -> SetPartition:

@@ -7,19 +7,65 @@ partition of the n gap positions 1'..n' (gap i' between i and i+1, gap n'
 between n and 1) whose union with the original is noncrossing on the
 interleaved 2n-cycle.  Gaps are returned on plain labels 1..n.
 
-Both the crossing test and the complement are single stack scans over
-the ranks of the support (partition.ranks): block polygons of a
-noncrossing partition nest, so the open blocks at any point of the scan
-form a stack, and each gap lands in the pocket of the innermost open
-block (or in the shared outer region).  A rank that continues a block
-below the top of the stack is a crossing, so the complement checks its
-input in the same scan.
+The crossing test and the complement are one stack scan over a growth
+string of ranks (partition.ranks), with the public functions adapters
+over it: block polygons of a noncrossing partition nest, so the open
+blocks at any point of the scan form a stack, and each gap lands in the
+pocket of the innermost open block (or in the shared outer region).  A
+rank that continues a block below the top of the stack is a crossing, so
+the complement checks its input in the same scan.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .partition import EMPTY, SetPartition, _complement, inferred_n, ranks
+from .partition import (
+    EMPTY,
+    SetPartition,
+    _complement,
+    _partition,
+    _ranks_of,
+    _renumber,
+    inferred_n,
+)
+
+
+def _scan(bid, sizes, pockets=None):
+    """The stack scan of the growth string bid with block sizes sizes:
+    None when it is noncrossing, else (a, c, t), where rank c continues
+    the block of rank a while block t, opened after a, is still open.
+    Each rank x appends to pockets, if given, the pocket of gap x': the
+    latest rank of the innermost open block, 0 in the outer region."""
+    left = list(sizes)  # ranks of each block not yet seen
+    last = [0] * len(left)  # each block's latest rank seen
+    stack: list[int] = []
+    for x in range(1, len(bid)):
+        b = bid[x]
+        if not last[b]:
+            stack.append(b)
+        elif stack[-1] != b:
+            return last[b], x, stack[-1]
+        last[b] = x
+        left[b] -= 1
+        if not left[b]:
+            stack.pop()
+        if pockets is not None:
+            pockets.append(last[stack[-1]] if stack else 0)
+    return None
+
+
+def _kreweras(bid, sizes):
+    """The growth string of the Kreweras complement of the growth string
+    bid with block sizes sizes, or None when bid is crossing."""
+    pockets: list[int] = []
+    return None if _scan(bid, sizes, pockets) else _renumber(pockets)
+
+
+def _rotate(g, shift: int) -> tuple[int, ...]:
+    """The growth string of x -> ((x - 1 + shift) mod m) + 1 on the growth
+    string g of a partition of [m]: rank y takes the block of y - shift."""
+    cut = len(g) - shift % (len(g) - 1)
+    return _renumber(g[cut:] + g[1:cut])
 
 
 def find_crossing(p: SetPartition):
@@ -28,43 +74,27 @@ def find_crossing(p: SetPartition):
     blocks = p.blocks
     if len(blocks) < 2:
         return None
-    m, labels, bid = ranks(blocks)
-    left = list(map(len, blocks))  # elements of each block not yet seen
-    last = [0] * len(blocks)  # rank of each block's latest element seen
-    stack: list[int] = []
-    for x in range(1, m + 1):
-        b = bid[x]
-        if not last[b]:
-            stack.append(b)
-        elif stack[-1] != b:
-            # x continues block b, but block t on top of the stack is still
-            # open: it opened after b's previous element and closes later.
-            t = stack[-1]
-            a, c = (last[b], x) if labels is None else (labels[last[b]], labels[x])
-            return (a, blocks[t][0], c, blocks[t][-1])
-        last[b] = x
-        left[b] -= 1
-        if not left[b]:
-            stack.pop()
-    return None
+    _, labels, bid = _ranks_of(p)
+    hit = _scan(bid, map(len, blocks))
+    if hit is None:
+        return None
+    a, c, t = hit
+    if labels is not None:
+        a, c = labels[a], labels[c]
+    return (a, blocks[t][0], c, blocks[t][-1])
 
 
 def is_noncrossing(p: SetPartition) -> bool:
     """True when no two blocks interleave."""
-    return find_crossing(p) is None
-
-
-_OUTER = (-1, 0)
+    return len(p.blocks) < 2 or _scan(_ranks_of(p)[2], map(len, p.blocks)) is None
 
 
 def kreweras_complement(p: SetPartition) -> SetPartition:
     """Coarsest partition of the gaps compatible with p; labels i stand for i'.
 
-    Requires supp(p) = {1..n} and p noncrossing.  The scan tracks, for the
-    innermost open block, how many of its elements have been consumed; gap
-    i lands in the pocket keyed by that pair, or in the outer region when
-    no block is open.  The same scan meets any crossing, as find_crossing
-    does, and find_crossing runs only to name its witness.  The result
+    Requires supp(p) = {1..n} and p noncrossing.  Gap i lands in the
+    pocket that _scan records for it, and the same scan meets any
+    crossing; find_crossing runs only to name its witness.  The result
     equals phi(p), an independent computation that the tests and verify
     check it against.
     """
@@ -72,24 +102,10 @@ def kreweras_complement(p: SetPartition) -> SetPartition:
     if not blocks:
         return EMPTY
     n = inferred_n(p)
-    _, _, bid = ranks(blocks, (n, True))
-    stack: list[list[int]] = []  # [block index, elements consumed]
-    regions: dict[tuple[int, int], list[int]] = {}
-    for x in range(1, n + 1):
-        b = bid[x]
-        blk = blocks[b]
-        if x == blk[0]:
-            stack.append([b, 1])
-        elif stack[-1][0] != b:
-            raise DomainError(f"partition is crossing: quadruple {find_crossing(p)}")
-        else:
-            stack[-1][1] += 1
-        if x == blk[-1]:
-            stack.pop()
-        key = (stack[-1][0], stack[-1][1]) if stack else _OUTER
-        regions.setdefault(key, []).append(x)
-    out = sorted(tuple(g) for g in regions.values())
-    return SetPartition(tuple(out))
+    g = _kreweras(_ranks_of(p, (n, True))[2], map(len, blocks))
+    if g is None:
+        raise DomainError(f"partition is crossing: quadruple {find_crossing(p)}")
+    return _partition(g)
 
 
 def graphical_conjugate(p: SetPartition) -> SetPartition:
@@ -109,10 +125,7 @@ def rotate_partition(p: SetPartition, shift: int) -> SetPartition:
     if not p.blocks:
         return EMPTY
     n = inferred_n(p)
-    blocks = sorted(
-        tuple(sorted((x - 1 + shift) % n + 1 for x in blk)) for blk in p.blocks
-    )
-    return SetPartition(tuple(blocks))
+    return _partition(_rotate(_ranks_of(p, (n, True))[2], shift))
 
 
 def format_gaps(p: SetPartition) -> str:

@@ -7,8 +7,12 @@ wraps around to the smallest, so a one-element support has succ(a) = a
 and the lone element counts as one adjacency.
 
 Only the order of the support matters to adjacencies, crossings and the
-strip of phi, so they scan the rank view that ranks() builds: ranks
-1..m of the support with the block of each rank.
+strip of phi, so their kernels work on the rank view (m, labels, bid)
+of ranks(): bid[r] is the block of rank r, blocks numbered by least
+element, so bid is the restricted growth string of a partition of [m]
+(after a pad).  The kernels take and return growth strings; the public
+functions are adapters that take a partition's view and build their
+result with _partition, which hands its growth string on as its view.
 
 Text form: blocks joined by " - ", elements by single spaces; the empty
 partition is the empty string.
@@ -68,13 +72,18 @@ class SetPartition(_Frozen):
 
     Construct through canonicalize() or parse_partition() unless the block
     data is already canonical (sorted within blocks, blocks sorted by
-    minimum, pairwise disjoint).
+    minimum, pairwise disjoint).  _view is a rank view handed over with
+    the blocks, if any; it stays out of equality, hash, repr and pickles.
     """
 
     _field = "blocks"
+    _view = None
 
     def __init__(self, blocks: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "blocks", blocks)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_view"}
 
     @_cached
     def support(self) -> tuple[int, ...]:
@@ -86,6 +95,15 @@ class SetPartition(_Frozen):
 
 
 EMPTY = SetPartition(())
+
+_new = object.__new__
+
+
+def _viewed(blocks, view) -> SetPartition:
+    """SetPartition(blocks) carrying the rank view view of its blocks."""
+    p = _new(SetPartition)
+    p.__dict__["blocks"], p.__dict__["_view"] = blocks, view
+    return p
 
 
 class AdjacencyProfile(NamedTuple):
@@ -132,43 +150,76 @@ def ranks(blocks, size=None):
     return m, [0, *ranked], [0, *map(index.__getitem__, ranked)]
 
 
+def _ranks_of(p: SetPartition, size=None):
+    """The rank view of p: the one handed over, else ranks(p.blocks, size)."""
+    return p._view or ranks(p.blocks, size)
+
+
+def _renumber(keys) -> tuple[int, ...]:
+    """The growth string of the partition of [m] whose blocks are the ranks
+    with equal keys, keys[r - 1] in 0..m the key of rank r."""
+    new = [-1] * (len(keys) + 1)
+    out = [0]
+    fresh = 0
+    for k in keys:
+        b = new[k]
+        if b < 0:
+            b = new[k] = fresh
+            fresh += 1
+        out.append(b)
+    return tuple(out)
+
+
+def _partition(g, labels=None) -> SetPartition:
+    """The partition with growth string g on ranks read through labels
+    (None: rank r is r), which carries (m, labels, g) as its rank view."""
+    blocks: list[list[int]] = []
+    for r in range(1, len(g)):
+        b = g[r]
+        if b < len(blocks):
+            blocks[b].append(r)
+        else:
+            blocks.append([r])
+    if labels is not None:
+        blocks = [map(labels.__getitem__, blk) for blk in blocks]
+    return _viewed(tuple(map(tuple, blocks)), (len(g) - 1, labels, g))
+
+
+def _profile(bid, sizes) -> tuple[list[int], list[int], list[int]]:
+    """(initiators, terminators, singletons) of the growth string bid with
+    block sizes sizes, as increasing rank lists; rank r terminates when its
+    cyclic predecessor, r - 1 or m for r = 1, shares its block."""
+    m = len(bid) - 1
+    initiators = []
+    terminators = []
+    singletons = []
+    before = bid[m]
+    for r in range(1, m + 1):
+        b = bid[r]
+        if b == before:
+            initiators.append(r - 1)
+            terminators.append(r)
+        if sizes[b] == 1:
+            singletons.append(r)
+        before = b
+    if terminators and terminators[0] == 1:  # the pair (m, 1)
+        del initiators[0]
+        initiators.append(m)
+    return initiators, terminators, singletons
+
+
 def adjacency_profile(p: SetPartition) -> AdjacencyProfile:
-    """Pair each element with its cyclic successor, in one pass."""
+    """Pair each element with its cyclic successor: an adapter over _profile."""
     blocks = p.blocks
     if not blocks:
         return _EMPTY_PROFILE
-    initiators = []
-    terminators = []
-    size = m, full = support_size(blocks)
-    if full:
-        # Support {1..m}: u and succ(u) = u + 1 share a block exactly when
-        # they are consecutive in it; the pair (m, 1) does when the block
-        # of 1 ends at m.
-        for blk in blocks:
-            u = blk[0]
-            for v in blk:
-                if v == u + 1:
-                    initiators.append(u)
-                    terminators.append(v)
-                u = v
-        if blocks[0][-1] == m:
-            initiators.append(m)
-            terminators.append(1)
-    else:
-        _, labels, bid = ranks(blocks, size)
-        prev = m
-        for r in range(1, m + 1):
-            if bid[r] == bid[prev]:
-                initiators.append(labels[prev])
-                terminators.append(labels[r])
-            prev = r
-    singletons = [blk[0] for blk in blocks if len(blk) == 1]
-    return AdjacencyProfile(
-        frozenset(initiators),
-        frozenset(terminators),
-        frozenset(singletons),
-        len(initiators),
-    )
+    _, labels, bid = _ranks_of(p)
+    ini, ter, sing = _profile(bid, list(map(len, blocks)))
+    count = len(ini)
+    if labels is not None:
+        label = labels.__getitem__
+        ini, ter, sing = map(label, ini), map(label, ter), map(label, sing)
+    return AdjacencyProfile(frozenset(ini), frozenset(ter), frozenset(sing), count)
 
 
 def canonicalize(raw_blocks: Iterable[Iterable[int]]) -> SetPartition:
@@ -218,9 +269,14 @@ def complement(p: SetPartition, n: int) -> SetPartition:
 
 def _complement(p: SetPartition, n: int) -> SetPartition:
     """complement(p, n) without the support check, for a caller that has
-    checked the support of p or judges the result itself."""
-    flip = (n + 1).__sub__
-    return SetPartition(tuple(sorted([tuple(map(flip, reversed(blk))) for blk in p.blocks])))
+    checked the support of p."""
+    return _partition(_relabel(_ranks_of(p, (n, True))[2]))
+
+
+def _relabel(g) -> tuple[int, ...]:
+    """The growth string of x -> m + 1 - x on the growth string g of a
+    partition of [m]: g read from rank m down to 1, renumbered."""
+    return _renumber(g[:0:-1])
 
 
 def format_partition(p: SetPartition) -> str:

@@ -11,12 +11,15 @@ phi and phi_inverse need no rebuild phase.  Each singleton stripped at a
 step ends up in the block of its cyclic predecessor (successor, for
 phi_inverse) among the elements still live at that step, so one strip
 scan records those links and a union-find joins them with the core
-blocks.  The scan runs on arrays indexed by rank, so supports other than
-{1..n} are mapped to ranks first, by the rank view (partition.ranks) that
-the adjacency profile and the crossing scans share.  The exhaustive
-checks sweep millions of partitions, so the per-step partition objects
-of the record-based path are too dear; phi_trace keeps that readable
-computation, and the two paths are compared exhaustively in the tests.
+blocks.  The strip and the transfer are kernels on the growth string of
+a partition of ranks (partition.ranks), the form that the adjacency
+profile, the relabel and the crossing scans share: they read block ids
+by rank, and the transfer's roots, renumbered, are the growth string of
+the result.  phi, phi_inverse, reduce_core and conjugate are adapters
+that take a partition's rank view and build blocks from the roots.  The
+exhaustive checks sweep millions of partitions on growth strings alone;
+phi_trace keeps the readable record-based computation, and the two
+paths are compared exhaustively in the tests.
 
 A full scan per step makes a strip O(m x steps) on a support of size m,
 and nested inputs take about m/2 steps.  So once its scans would pass
@@ -28,7 +31,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partition import SetPartition, _complement, ranks, require_full_support
+from .partition import (
+    SetPartition,
+    _ranks_of,
+    _partition,
+    _relabel,
+    _renumber,
+    require_full_support,
+)
 from .separate import ROLE_ST, SeparationRecord, combine_st, separate_is
 
 # Passes over the support a strip may scan before it moves to the
@@ -38,8 +48,9 @@ from .separate import ROLE_ST, SeparationRecord, combine_st, separate_is
 _SCAN_PASSES = 4
 
 
-def _strip(blocks, invert: bool):
-    """Iterate one of the two strip maps on canonical blocks.
+def _strip(bid, sizes, invert: bool):
+    """Iterate one of the two strip maps on the growth string bid of a
+    partition of ranks 1..m, whose block b has sizes[b] ranks.
 
     invert False (the phi strip): kill initiators and singletons per
     step.  invert True (the phi_inverse strip): kill singletons and
@@ -49,16 +60,13 @@ def _strip(blocks, invert: bool):
     Every singleton killed at a step is linked to its cyclic predecessor,
     in scan order, among the elements live at that step: reversing the
     step re-inserts it into that element's block.
-    The scan runs on ranks 1..m of the support, with arrays indexed by
-    rank; everything it looks at depends only on the relative order of
-    the support.  Returns (m, labels, core, bid, link): m, labels and bid
-    as ranks() gives them, core the ranks never killed in scan order,
-    and link[r] the rank r is linked to (r itself if none).
+    Returns (core, link): core the ranks never killed, in scan order, and
+    link[r] the rank r is linked to (r itself if none).
     Steps scan the whole live list until the scans would pass
     _SCAN_PASSES x m elements, then _worklist finishes: O(m) in all.
     """
-    m, labels, bid = ranks(blocks)
-    sizes = list(map(len, blocks))
+    m = len(bid) - 1
+    sizes = list(sizes)
     link = list(range(m + 1))
     dead = [False] * (m + 1)
     live = list(range(m, 0, -1)) if invert else link[1:]
@@ -66,7 +74,7 @@ def _strip(blocks, invert: bool):
     while live:
         budget -= len(live)
         if budget < 0:
-            return m, labels, _worklist(live, bid, sizes, link, dead), bid, link
+            return _worklist(live, bid, sizes, link, dead), link
         ends = []
         prev = live[-1]
         pb = bid[prev]
@@ -90,7 +98,7 @@ def _strip(blocks, invert: bool):
             # through all of them, and one fewer link joins them as well.
             link[live[0]] = live[0]
         live = rest
-    return m, labels, live, bid, link
+    return live, link
 
 
 def _worklist(live, bid, sizes, link, dead) -> list[int]:
@@ -146,54 +154,52 @@ def _root(link, x: int) -> int:
     return x
 
 
-def _transfer(strip, invert: bool) -> SetPartition:
-    """phi (invert False) or phi_inverse (invert True) from the _strip
-    result strip, run with the same invert.
+def _transfer(bid, strip, invert: bool) -> list[int]:
+    """The roots of phi (invert False) or phi_inverse (invert True): root[r]
+    names the block of rank r in the result, from the _strip result strip
+    on bid, run with the same invert: _renumber(root[1:]) is the
+    result's growth string.
 
     The result's blocks are the classes of a union-find over the strip's
     links and the core blocks.  Links point back in scan order, bar one
     wrap-around per step, so resolving ranks in scan order finds almost
-    every target resolved already; grouping in increasing order then
-    gives canonical blocks.  For phi the two passes are one.
+    every target resolved already.  The links are resolved in place.
     """
-    m, labels, core, bid, link = strip
+    core, link = strip
     rep = {}
     for x in core:
         link[x] = rep.setdefault(bid[x], x)
-    if invert:
-        for x in range(m, 0, -1):
-            r = link[x]
-            if link[r] != r:
-                link[x] = _root(link, r)
-    groups: dict[int, list[int]] = {}
-    for x in range(1, m + 1):
+    m = len(bid) - 1
+    for x in range(m, 0, -1) if invert else range(1, m + 1):
         r = link[x]
         if link[r] != r:
-            r = link[x] = _root(link, r)
-        g = groups.get(r)
-        if g is None:
-            groups[r] = [x]
-        else:
-            g.append(x)
-    return _unrank(groups.values(), labels)
+            link[x] = _root(link, r)
+    return link
 
 
-def _unrank(groups, labels) -> SetPartition:
-    """Groups of ranks, each increasing and listed by least rank, as the
-    canonical partition of the elements they rank."""
-    if labels is None:
-        return SetPartition(tuple(map(tuple, groups)))
-    label = labels.__getitem__
-    return SetPartition(tuple([tuple(map(label, g)) for g in groups]))
+def _phi_growth(bid, sizes, invert: bool = False):
+    """(g, core): the growth string g of phi, or of phi_inverse when
+    invert, of the growth string bid with block sizes sizes, and the
+    strip's core ranks in scan order (empty exactly when bid is
+    noncrossing, for phi)."""
+    strip = _strip(bid, sizes, invert)
+    return _renumber(_transfer(bid, strip, invert)[1:]), strip[0]
 
 
-def _core(strip) -> SetPartition:
-    """The core blocks of a _strip result: ranks never killed, by block."""
-    _, labels, core, bid, _ = strip
+def _core(core, bid, labels=None) -> SetPartition:
+    """The core blocks of a forward strip: its core ranks, which it lists
+    increasing, by block of bid."""
     groups: dict[int, list[int]] = {}
-    for x in core:
-        groups.setdefault(bid[x], []).append(x)
-    return _unrank(groups.values(), labels)
+    for r in core:
+        groups.setdefault(bid[r], []).append(r if labels is None else labels[r])
+    return SetPartition(tuple(map(tuple, groups.values())))
+
+
+def _map(p: SetPartition, invert: bool, size=None):
+    """The rank view of p and the roots of phi, or phi_inverse, on it."""
+    view = _ranks_of(p, size)
+    bid = view[2]
+    return view, _transfer(bid, _strip(bid, map(len, p.blocks), invert), invert)
 
 
 def phi(p: SetPartition) -> SetPartition:
@@ -203,13 +209,15 @@ def phi(p: SetPartition) -> SetPartition:
     phi(p) are the singletons of p.  Works on any finite support and
     preserves it.
     """
-    return _transfer(_strip(p.blocks, invert=False), invert=False)
+    view, root = _map(p, False)
+    return _partition(_renumber(root[1:]), view[1])
 
 
 def phi_inverse(p: SetPartition) -> SetPartition:
     """Two-sided inverse of phi: strip singletons/terminators, rebuild
     joining each stripped singleton to its cyclic successor."""
-    return _transfer(_strip(p.blocks, invert=True), invert=True)
+    view, root = _map(p, True)
+    return _partition(_renumber(root[1:]), view[1])
 
 
 def reduce_core(p: SetPartition) -> SetPartition:
@@ -217,14 +225,8 @@ def reduce_core(p: SetPartition) -> SetPartition:
 
     Empty exactly when p is noncrossing.
     """
-    return _core(_strip(p.blocks, invert=False))
-
-
-def _phi_and_core(p: SetPartition) -> tuple[SetPartition, SetPartition]:
-    """(phi(p), reduce_core(p)) from one strip, for callers that need both.
-    _transfer changes only the strip's link, which _core does not read."""
-    strip = _strip(p.blocks, invert=False)
-    return _transfer(strip, invert=False), _core(strip)
+    _, labels, bid = _ranks_of(p)
+    return _core(_strip(bid, map(len, p.blocks), False)[0], bid, labels)
 
 
 class ForwardRow(NamedTuple):
@@ -293,4 +295,5 @@ def conjugate(p: SetPartition, n: int) -> SetPartition:
     Like phi it interchanges the singleton count with the adjacency count.
     """
     require_full_support(p, n)
-    return _complement(phi(p), n)
+    _, root = _map(p, False, (n, True))
+    return _partition(_relabel(root))

@@ -70,11 +70,11 @@ def separate_st(p: SetPartition) -> SeparationRecord:
     return SeparationRecord(rho, prof.singletons, prof.terminators, ROLE_ST)
 
 
-def combine_domain_ok(rec: SeparationRecord) -> bool:
+def combine_domain_ok(rec: SeparationRecord, universe=None) -> bool:
     """Shared acceptance test for combine_is and combine_st.
 
     Deliberately ignores rec.role: both combine directions accept exactly
-    the same records.
+    the same records.  universe is the sorted combined universe, if known.
     """
     rho, a_set, b_set = rec.rho, rec.a_set, rec.b_set
     if not rho.blocks and a_set == b_set and len(a_set) == 1:
@@ -82,7 +82,8 @@ def combine_domain_ok(rec: SeparationRecord) -> bool:
     supp = rho.support
     if not (a_set.isdisjoint(supp) and b_set.isdisjoint(supp) and a_set.isdisjoint(b_set)):
         return False
-    universe = sorted(a_set.union(supp, b_set))
+    if universe is None:
+        universe = sorted(a_set.union(supp, b_set))
     if not universe:
         return True
     prev = universe[-1]
@@ -93,8 +94,8 @@ def combine_domain_ok(rec: SeparationRecord) -> bool:
     return True
 
 
-def _combine(rho: SetPartition, a_set, b_set, with_succ: bool) -> SetPartition:
-    """Union-find merge over the combined universe.
+def _combine(rho: SetPartition, a_set, b_set, with_succ: bool, universe=None) -> SetPartition:
+    """Union-find merge over the sorted combined universe (built if not given).
 
     with_succ: each element of a_set joins the block of its cyclic
     successor (insertion as initiator).  Otherwise each element of b_set
@@ -102,7 +103,8 @@ def _combine(rho: SetPartition, a_set, b_set, with_succ: bool) -> SetPartition:
     Unmerged new elements remain singleton blocks.  The merge order is
     irrelevant: the result only depends on which pairs get unioned.
     """
-    universe = sorted(a_set.union(rho.support, b_set))
+    if universe is None:
+        universe = sorted(a_set.union(rho.support, b_set))
     if not universe:
         return EMPTY
     index = {x: i for i, x in enumerate(universe)}
@@ -126,19 +128,24 @@ def _combine(rho: SetPartition, a_set, b_set, with_succ: bool) -> SetPartition:
     # Indices in increasing order list each class by its least element.
     groups: dict[int, list[int]] = {}
     for i, x in enumerate(universe):
-        groups.setdefault(find(i), []).append(x)
+        r = parent[i]
+        groups.setdefault(r if parent[r] == r else find(r), []).append(x)
     return SetPartition(tuple(map(tuple, groups.values())))
+
+
+def _checked_combine(rec: SeparationRecord, with_succ: bool) -> SetPartition:
+    """_combine of a record in the domain, on one sorted universe."""
+    universe = sorted(rec.a_set.union(rec.rho.support, rec.b_set))
+    if not combine_domain_ok(rec, universe):
+        raise CombineDomainError(f"record outside combine domain: {rec}")
+    return _combine(rec.rho, rec.a_set, rec.b_set, with_succ, universe)
 
 
 def combine_is(rec: SeparationRecord) -> SetPartition:
     """Insert a_set as adjacency initiators and b_set as singletons."""
-    if not combine_domain_ok(rec):
-        raise CombineDomainError(f"record outside combine domain: {rec}")
-    return _combine(rec.rho, rec.a_set, rec.b_set, with_succ=True)
+    return _checked_combine(rec, with_succ=True)
 
 
 def combine_st(rec: SeparationRecord) -> SetPartition:
     """Insert a_set as singletons and b_set as adjacency terminators."""
-    if not combine_domain_ok(rec):
-        raise CombineDomainError(f"record outside combine domain: {rec}")
-    return _combine(rec.rho, rec.a_set, rec.b_set, with_succ=False)
+    return _checked_combine(rec, with_succ=False)

@@ -14,6 +14,15 @@ pool, costliest first.  Reports are byte-identical regardless of the job
 count: results are merged in task order (shards in prefix order), and
 the first counterexample in enumeration order is kept.
 
+A partition shard runs the map invariants (complement, phi, conjugate,
+noncrossing, Kreweras) on the growth strings that the enumeration hands
+over, through the array kernels of partition, phi and noncrossing, and
+keeps a phi image of growth strings.  It builds partitions only for the
+record-based reference path (separate/combine, phi_trace, the
+interleaved union) and for counterexample text.  complement-involution
+also checks the relabel kernel against its definition, written out
+without it.
+
 Each family (partitions, compositions) has one invariant table listing
 (id, scope, largest n) rows in report order; the scope string and the
 examined-item count of every row derive from it.  Adding an invariant
@@ -52,21 +61,18 @@ from .enumeration import (
     rgs_prefixes,
 )
 from .errors import DomainError
-from .noncrossing import (
-    find_crossing,
-    is_noncrossing,
-    kreweras_complement,
-    rotate_partition,
-)
+from .noncrossing import _kreweras, _rotate, _scan, find_crossing, kreweras_complement
 from .partition import (
     EMPTY,
     SetPartition,
-    _complement,
+    _partition,
+    _profile,
+    _relabel,
     adjacency_profile,
     format_partition,
     parse_partition,
 )
-from .phi import _phi_and_core, conjugate, phi, phi_inverse, phi_trace, reduce_core
+from .phi import _core, _phi_growth, conjugate, phi, phi_inverse, phi_trace, reduce_core
 from .separate import (
     ROLE_IS,
     ROLE_ST,
@@ -164,12 +170,26 @@ def _fail(fails: dict, inv: str, ce: str | None, count: int = 1) -> None:
     fails.setdefault(inv, [0, ce])[0] += count
 
 
+def _block_sizes(g) -> list[int]:
+    """sizes[b]: the number of ranks in block b of the growth string g."""
+    sizes = [0] * len(g)
+    for b in g:
+        sizes[b] += 1
+    sizes[0] -= 1  # the pad
+    return sizes
+
+
+def _text(g) -> str:
+    """A growth string in dash notation, for counterexample text."""
+    return format_partition(_partition(g))
+
+
 def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
     """Run every per-partition invariant over one RGS-prefix shard of [n].
 
     Returns a plain dict (picklable) with counts, failures keyed by
-    invariant id, the phi image (when n is small enough), and the
-    singleton/adjacency distribution tally.
+    invariant id, the phi image as growth strings (when n is small
+    enough), and the singleton/adjacency distribution tally.
     """
     fails: dict[str, list] = {}
     dist: dict[tuple[int, int], int] = {}
@@ -179,30 +199,34 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
     trace_on = n <= TRACE_CAP
     parse_on = n <= PARSE_CAP
     union_on = n <= UNION_CAP
-    full = tuple(range(1, n + 1))
 
     def text() -> str:  # the counterexample: built only on failure
         return f"n={n} p={format_partition(p)}"
 
     for p in iter_set_partitions(n, prefix):
         count += 1
-        prof = adjacency_profile(p)
-        nsing = len(prof.singletons)
-        dist_key = (nsing, prof.adjacency_count)
-        dist[dist_key] = dist.get(dist_key, 0) + 1
-        if len(prof.initiators) != len(prof.terminators):
+        g = p._view[2]  # the growth string of p
+        sizes = list(map(len, p.blocks))
+        ini, ter, sing = _profile(g, sizes)
+        nsing, nadj = len(sing), len(ini)
+        dist[nsing, nadj] = dist.get((nsing, nadj), 0) + 1
+        if nadj != len(ter):
             _fail(fails, "balance", text())
         if parse_on and parse_partition(str(p)) != p:
             _fail(fails, "parse-format-roundtrip", text())
-        cp = _complement(p, n)  # unchecked: a faulty map fails an invariant
-        if _complement(cp, n) != p:
+        cg = _relabel(g)  # the complement of p
+        # The relabel by its definition, without the kernel: g reversed,
+        # blocks renumbered by first occurrence.
+        rev = g[:0:-1]
+        first = {b: i for i, b in enumerate(dict.fromkeys(rev))}
+        if _relabel(cg) != g or cg != (0, *map(first.__getitem__, rev)):
             _fail(fails, "complement-involution", text())
-        cprof = adjacency_profile(cp)
+        cini, cter, csing = _profile(cg, _block_sizes(cg))
         m = n + 1
         if (
-            cprof.initiators != frozenset(m - t for t in prof.terminators)
-            or cprof.terminators != frozenset(m - i for i in prof.initiators)
-            or cprof.singletons != frozenset(m - s for s in prof.singletons)
+            cini != [m - t for t in reversed(ter)]
+            or cter != [m - i for i in reversed(ini)]
+            or csing != [m - s for s in reversed(sing)]
         ):
             _fail(fails, "complement-role-swap", text())
         rec_is = separate_is(p)
@@ -215,30 +239,29 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
         retagged = SeparationRecord(rec_is.rho, rec_is.a_set, rec_is.b_set, ROLE_ST)
         if combine_domain_ok(retagged) != is_ok:
             _fail(fails, "combine-domain-role-symmetry", text())
-        q, core = _phi_and_core(p)
-        if q.support != full:
+        qg, core = _phi_growth(g, sizes)
+        if len(qg) != m:
             _fail(fails, "phi-support-preserved", text())
-        qprof = adjacency_profile(q)
-        if not (qprof.singletons == prof.initiators and qprof.terminators == prof.singletons):
-            _fail(fails, "phi-statistic-interchange", f"{text()} phi(p)={format_partition(q)}")
-        if phi_inverse(q) != p:
+        qsizes = _block_sizes(qg)
+        _, qter, qsing = _profile(qg, qsizes)
+        if not (qsing == ini and qter == sing):
+            _fail(fails, "phi-statistic-interchange", f"{text()} phi(p)={_text(qg)}")
+        if _phi_growth(qg, qsizes, True)[0] != g:
             _fail(fails, "phi-inverse-identity", text())
         if image is not None:
-            image.add(q.blocks)
-        cq = _complement(q, n)  # conjugate of p
-        involution_ok = _complement(phi(cq), n) == p
+            image.add(qg)
+        cq = _relabel(qg)  # the conjugate of p
+        cqsizes = _block_sizes(cq)
+        involution_ok = _relabel(_phi_growth(cq, cqsizes)[0]) == g
         if not involution_ok:
-            _fail(fails, "conjugate-involution", f"{text()} conj(p)={format_partition(cq)}")
-        cqprof = adjacency_profile(cq)
-        conj_interchange_ok = (
-            len(cqprof.singletons) == prof.adjacency_count
-            and cqprof.adjacency_count == nsing
-        )
+            _fail(fails, "conjugate-involution", f"{text()} conj(p)={_text(cq)}")
+        cqini, _, cqsing = _profile(cq, cqsizes)
+        conj_interchange_ok = len(cqsing) == nadj and len(cqini) == nsing
         if not conj_interchange_ok:
             _fail(fails, "conjugate-interchange", text())
         if trace_on:
             trace = phi_trace(p)
-            if trace.result != q:
+            if trace.result != _partition(qg):
                 _fail(fails, "phi-trace-agreement", text())
             rows = trace.reverse_rows  # j = k .. 0
             fwd = trace.forward_rows
@@ -257,24 +280,25 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
                 if (back.rho, back.a_set, back.b_set) != (tau_j, frow.initiators, frow.singletons):
                     _fail(fails, "reverse-phase-exactness", f"{text()} j={j}")
                     break
-        nc = is_noncrossing(p)
-        if nc != (core == EMPTY):
-            _fail(fails, "nc-core-characterization", f"{text()} core={format_partition(core)}")
+        nc = _scan(g, sizes) is None
+        if nc == bool(core):
+            why = f"core={format_partition(_core(core, g))}"
+            _fail(fails, "nc-core-characterization", f"{text()} {why}")
         if nc:
             nc_count += 1
-            if not (is_noncrossing(q) and is_noncrossing(cq)):
+            if not (_scan(qg, qsizes) is None and _scan(cq, cqsizes) is None):
                 _fail(fails, "nc-closure", text())
-            gp = kreweras_complement(p)
-            if gp != q:
-                _fail(fails, "nc-graphical-phi", f"{text()} gaps={format_partition(gp)}")
-            if _complement(gp, n) != cq:
+            kg = _kreweras(g, sizes)  # the gaps of p
+            if kg != qg:
+                _fail(fails, "nc-graphical-phi", f"{text()} gaps={_text(kg)}")
+            if _relabel(kg) != cq:
                 _fail(fails, "nc-graphical-conjugate", text())
             if not (involution_ok and conj_interchange_ok):
                 _fail(fails, "nc-conjugation-involution", text())
-            if kreweras_complement(gp) != rotate_partition(p, -1):
+            if _kreweras(kg, _block_sizes(kg)) != _rotate(g, -1):
                 _fail(fails, "kreweras-double-rotation", text())
             if union_on:
-                ok, why = _union_maximal(p, gp)
+                ok, why = _union_maximal(p, _partition(kg))
                 if not ok:
                     _fail(fails, "kreweras-union-maximal", f"{text()} {why}")
     return {

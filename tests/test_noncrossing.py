@@ -21,6 +21,7 @@ from conjlab import (
 )
 
 from conjlab import noncrossing as noncrossing_module
+from conjlab.partition import _partition, ranks
 from conftest import all_partitions
 
 P = parse_partition
@@ -174,6 +175,33 @@ class TestKrewerasComplement:
         for p in all_partitions(n):
             if is_noncrossing(p):
                 assert is_noncrossing(kreweras_complement(p))
+
+
+class TestScanKernels:
+    """The stack scan, Kreweras and the rotation on a handed-over growth
+    string agree with the public functions on a copy without one, and
+    with computations that share no code with them: the strip core, phi
+    and a relabel of the blocks."""
+
+    def test_kernels_agree_with_the_public_functions(self, kernel_inputs):
+        for p in kernel_inputs:
+            n, _, g = p._view
+            sizes = list(map(len, p.blocks))
+            bare = SetPartition(p.blocks)
+            nc = noncrossing_module._scan(g, sizes) is None
+            assert nc == is_noncrossing(bare) == (reduce_core(bare) == EMPTY)
+            kg = noncrossing_module._kreweras(g, sizes)
+            if nc:
+                k = kreweras_complement(bare)
+                assert _partition(kg) == k == phi(bare)
+                assert kg == tuple(ranks(k.blocks)[2])
+            else:
+                assert kg is None
+                with pytest.raises(DomainError):
+                    kreweras_complement(bare)
+            back = canonicalize([(x - 2) % n + 1 for x in blk] for blk in p.blocks)
+            assert _partition(noncrossing_module._rotate(g, -1)) == back
+            assert rotate_partition(bare, -1) == back
 
 
 class TestGraphicalForms:

@@ -15,7 +15,8 @@ from conjlab import (
     inferred_n,
     parse_partition,
 )
-from conjlab.partition import partition_to_blocks, ranks
+from conjlab.enumeration import iter_set_partitions
+from conjlab.partition import _partition, _profile, _relabel, partition_to_blocks, ranks
 
 from conftest import all_partitions
 
@@ -187,6 +188,45 @@ class TestRankView:
             assert (labels is None) == (p.support == tuple(range(1, m + 1)))
             for r in range(1, m + 1):
                 assert label[r] in p.blocks[bid[r]]
+
+
+class TestHandedOverView:
+    """iter_set_partitions hands each partition its growth string; the
+    kernels that read it agree with the public functions, which build
+    the rank view from the blocks of a copy without one."""
+
+    def test_view_is_the_rank_view(self, kernel_inputs):
+        for p in kernel_inputs:
+            m, labels, g = p._view
+            assert (m, labels, list(g)) == ranks(p.blocks)
+            assert SetPartition(p.blocks)._view is None
+
+    def test_relabel_kernel(self, kernel_inputs):
+        for p in kernel_inputs:
+            n, _, g = p._view
+            want = canonicalize([n + 1 - x for x in blk] for blk in p.blocks)
+            got = _partition(_relabel(g))
+            assert got == want == complement(SetPartition(p.blocks), n)
+            assert got._view[2] == tuple(ranks(want.blocks)[2])
+
+    def test_profile_kernel(self, kernel_inputs):
+        for p in kernel_inputs:
+            ini, ter, sing = _profile(p._view[2], list(map(len, p.blocks)))
+            assert ini == sorted(ini) and ter == sorted(ter) and sing == sorted(sing)
+            prof = adjacency_profile(SetPartition(p.blocks))
+            assert prof == (frozenset(ini), frozenset(ter), frozenset(sing), len(ini))
+            assert (prof.initiators, prof.terminators, prof.singletons) == naive_profile(p)
+
+    def test_view_stays_out_of_pickles(self):
+        # The bytes of test_cached_support_leaves_eq_hash_and_pickle_alone,
+        # with and without a cached support.
+        for p in [*iter_set_partitions(5), *list(iter_set_partitions(9, (0, 1, 0, 2)))[::29]]:
+            bare = SetPartition(p.blocks)
+            assert pickle.dumps(p, 4) == pickle.dumps(bare, 4)
+            assert p.support == bare.support
+            assert pickle.dumps(p, 4) == pickle.dumps(bare, 4)
+            back = pickle.loads(pickle.dumps(p))
+            assert back == p and back._view is None and p._view is not None
 
 
 class TestComplement:

@@ -15,6 +15,7 @@ from conjlab import (
     phi_trace,
     reduce_core,
 )
+from conjlab.partition import _partition, ranks
 from conjlab.separate import ROLE_IS, SeparationRecord
 
 from conftest import all_partitions
@@ -133,17 +134,51 @@ class TestExhaustiveSmall:
             assert cprof.adjacency_count == len(prof.singletons)
 
 
+def phi_and_core(p):
+    """(phi(p), reduce_core(p)) from the one strip of the array kernel."""
+    _, labels, bid = ranks(p.blocks)
+    g, core = phi_module._phi_growth(bid, list(map(len, p.blocks)))
+    return _partition(g, labels), phi_module._core(core, bid, labels)
+
+
 class TestPhiAndCore:
-    """verify takes phi(p) and reduce_core(p) from one strip."""
+    """verify takes the growth string of phi(p) and the core of p from one strip."""
 
     def test_small_partitions(self):
         for n in range(9):
             for p in all_partitions(n):
-                assert phi_module._phi_and_core(p) == (phi(p), reduce_core(p))
+                assert phi_and_core(p) == (phi(p), reduce_core(p))
 
     def test_scattered_supports(self, sparse_samples):
         for p in sparse_samples:
-            assert phi_module._phi_and_core(p) == (phi(p), reduce_core(p))
+            assert phi_and_core(p) == (phi(p), reduce_core(p))
+
+
+class TestGrowthStringKernels:
+    """The strip and transfer on a handed-over growth string give what phi,
+    phi_inverse and reduce_core give on a copy without one, and what the
+    record-based phi_trace gives."""
+
+    def test_kernels_agree_with_the_public_functions(self, kernel_inputs):
+        for p in kernel_inputs:
+            g = p._view[2]
+            sizes = list(map(len, p.blocks))
+            bare = SetPartition(p.blocks)
+            trace = phi_trace(bare)
+            qg, core = phi_module._phi_growth(g, sizes)
+            q = phi(bare)
+            assert _partition(qg) == q == trace.result
+            assert qg == tuple(ranks(q.blocks)[2])
+            assert phi_module._core(core, g) == reduce_core(bare) == trace.core
+            ig, _ = phi_module._phi_growth(g, sizes, True)
+            assert _partition(ig) == phi_inverse(bare)
+            assert phi(_partition(ig)) == bare
+
+    def test_results_hand_their_growth_string_on(self, sparse_samples):
+        for p in sparse_samples:
+            for q in (phi(p), phi_inverse(p)):
+                m, labels, g = q._view
+                assert (m, labels, list(g)) == ranks(q.blocks)
 
 
 class TestSparseSupports:
@@ -254,7 +289,7 @@ class TestWorklist:
 
     def test_phi_and_core_from_one_strip_on_a_deep_rainbow(self, worklist_calls):
         p = rainbow(300, core=[(1, 3), (2, 4)])
-        assert phi_module._phi_and_core(p) == (phi(p), reduce_core(p))
+        assert phi_and_core(p) == (phi(p), reduce_core(p))
         assert len(worklist_calls) == 3
 
     def test_default_budget_keeps_small_strips_scanning(self, worklist_calls):

@@ -16,6 +16,7 @@ from conjlab import (
     separate_is,
     separate_st,
 )
+from conjlab import separate as separate_module
 from conjlab.separate import suppress
 
 from conftest import all_partitions
@@ -173,3 +174,27 @@ class TestRoundTrips:
             for _ in range(3):
                 assert shuffled_combine(rec_is, True, rng) == p
                 assert shuffled_combine(rec_st, False, rng) == p
+
+
+def test_one_sorted_universe_per_combine(monkeypatch):
+    # combine_is and combine_st sort the combined universe once, for the
+    # domain test and the merge alike, also on a record they refuse.
+    sorts = []
+
+    def counted(items):
+        sorts.append(items)
+        return sorted(items)
+
+    monkeypatch.setattr(separate_module, "sorted", counted, raising=False)
+    refused = SeparationRecord(P("3"), frozenset({1}), frozenset({2}), ROLE_IS)
+    calls = [(combine_is, separate_is(p)) for n in range(6) for p in all_partitions(n)]
+    calls += [(combine_st, separate_st(p)) for n in range(6) for p in all_partitions(n)]
+    calls += [(combine_is, refused), (combine_st, refused)]
+    for combine, rec in calls:
+        sorts.clear()
+        try:
+            combine(rec)
+        except CombineDomainError:
+            assert rec is refused
+        universe = rec.a_set | rec.b_set | set(rec.rho.support)
+        assert [set(items) for items in sorts].count(universe) == 1

@@ -15,6 +15,7 @@ from conjlab.cli import main
 from conjlab.compositions import Composition, conjugate_composition, mu
 from conjlab.separate import _combine
 
+noncrossing_module = importlib.import_module("conjlab.noncrossing")
 partition_module = importlib.import_module("conjlab.partition")
 phi_module = importlib.import_module("conjlab.phi")
 separate_module = importlib.import_module("conjlab.separate")
@@ -261,17 +262,73 @@ class TestRecordPrimitiveMutants:
         assert "subset-support-roundtrip" in failing(report)
 
 
+class TestArrayShard:
+    """partition_shard runs its map invariants on growth strings: with the
+    object-level maps made to raise, a shard gives the same tallies."""
+
+    OBJECT_MAPS = (
+        "phi",
+        "phi_inverse",
+        "_phi_and_core",
+        "_complement",
+        "complement",
+        "conjugate",
+        "reduce_core",
+        "is_noncrossing",
+        "kreweras_complement",
+        "rotate_partition",
+    )
+
+    def test_object_maps_stay_off_the_hot_path(self, monkeypatch):
+        want = verify_module.partition_shard(10, (0, 1, 0, 2))
+
+        def refuse(*args):
+            raise AssertionError("an object-level map ran in partition_shard")
+
+        for module in (verify_module, phi_module, partition_module, noncrossing_module):
+            for name in self.OBJECT_MAPS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        got = verify_module.partition_shard(10, (0, 1, 0, 2))
+        assert got["fails"] == want["fails"] == {}
+        assert (got["count"], got["nc"], got["dist"]) == (want["count"], want["nc"], want["dist"])
+        assert got["image"] == want["image"] and len(got["image"]) == got["count"]
+
+
 class TestMapFaultIsAFailure:
     """A faulty map fails invariants in the report; no support check on
     what the sweep derives turns it into a DomainError."""
 
-    def test_complement_off_by_one(self, monkeypatch, capsys):
-        mutant = source_mutant(partition_module, "_complement", "(n + 1).__sub__", "(n + 2).__sub__")
+    @staticmethod
+    def patch_relabel(monkeypatch, new):
+        # The one relabel kernel, wherever it is imported.
+        mutant = source_mutant(partition_module, "_relabel", "g[:0:-1]", new)
         for module in (partition_module, phi_module, verify_module):
-            monkeypatch.setattr(module, "_complement", mutant)
+            monkeypatch.setattr(module, "_relabel", mutant)
+
+    def test_complement_off_by_one(self, monkeypatch, capsys):
+        # Reads rank m - r for r, and the pad for rank m.
+        self.patch_relabel(monkeypatch, "g[-2::-1]")
         report = verify_suite(n_max=4, comp_n_max=2)
-        assert failing(report) == {"complement-role-swap": "n=1 p=1", "one-element-convention": "a=1"}
+        assert failing(report) == {
+            "complement-involution": "n=2 p=1 - 2",
+            "complement-role-swap": "n=2 p=1 - 2",
+            "conjugate-involution": "n=2 p=1 - 2 conj(p)=1 2",
+            "conjugate-interchange": "n=2 p=1 2",
+            "nc-conjugation-involution": "n=2 p=1 2",
+        }
         assert main(["verify", "--n-max", "4", "--comp-n-max", "2"]) == 3
         out, err = capsys.readouterr()
         assert out == report.render() + "\n"
         assert err == ""
+
+    def test_identity_relabel_fails_its_definition(self, monkeypatch):
+        # An involution, so only the comparison with the reversed growth
+        # string fails complement-involution.
+        self.patch_relabel(monkeypatch, "g[1:]")
+        assert failing(verify_suite(n_max=4, comp_n_max=2)) == {
+            "complement-involution": "n=3 p=1 2 - 3",
+            "complement-role-swap": "n=3 p=1 2 - 3",
+            "conjugate-involution": "n=3 p=1 2 - 3 conj(p)=1 - 2 3",
+            "nc-conjugation-involution": "n=3 p=1 2 - 3",
+        }
