@@ -263,6 +263,11 @@ class PhiTrace(NamedTuple):
         return self.reverse_rows[-1].tau
 
 
+def _reinsert(tau: SetPartition, rec: SeparationRecord) -> SetPartition:
+    """tau_{j-1} from tau_j and the record (rho_j, I_j, S_j) of step j."""
+    return combine_st(SeparationRecord(tau, rec.a_set, rec.b_set, ROLE_ST))
+
+
 def phi_trace(p: SetPartition) -> PhiTrace:
     """Run phi through the record-based operations, keeping every row."""
     records = []
@@ -283,8 +288,7 @@ def phi_trace(p: SetPartition) -> PhiTrace:
     reverse = [ReverseRow(k, rho)]
     tau = rho
     for j in range(k - 1, -1, -1):
-        rec = records[j]
-        tau = combine_st(SeparationRecord(tau, rec.a_set, rec.b_set, ROLE_ST))
+        tau = _reinsert(tau, records[j])
         reverse.append(ReverseRow(j, tau))
     return PhiTrace(forward, tuple(reverse), k)
 

@@ -21,7 +21,9 @@ keeps a phi image of growth strings.  It builds partitions only for the
 record-based reference path (separate/combine, phi_trace, the
 interleaved union) and for counterexample text.  complement-involution
 also checks the relabel kernel against its definition, written out
-without it.
+without it.  The record path checks each strip tail once per shard:
+phi_trace(p) is the step separate_is(p) and the trace of its remainder,
+which many partitions share, so each distinct remainder is traced once.
 
 Each family (partitions, compositions) has one invariant table listing
 (id, scope, largest n) rows in report order; the scope string and the
@@ -72,7 +74,7 @@ from .partition import (
     format_partition,
     parse_partition,
 )
-from .phi import _core, _phi_growth, conjugate, phi, phi_inverse, phi_trace, reduce_core
+from .phi import _core, _phi_growth, _reinsert, conjugate, phi, phi_inverse, phi_trace, reduce_core
 from .separate import (
     ROLE_IS,
     ROLE_ST,
@@ -184,6 +186,33 @@ def _text(g) -> str:
     return format_partition(_partition(g))
 
 
+def _with_step(tail: tuple, rec: SeparationRecord, combined, tau) -> tuple:
+    """The trace verdict (tau_0, first failing trace-record-inverse row,
+    last failing reverse-phase-exactness row; 0 for none) of a partition
+    whose first strip step is rec, from tail, the verdict of rec.rho, whose
+    rows shift up by one.  combined is combine_is(rec), tau is tau_0."""
+    tau_1, inverse, exact = tail
+    if separate_is(combined)[:3] != rec[:3]:  # (rho, a_set, b_set)
+        inverse = 1
+    elif inverse:
+        inverse += 1
+    if exact:
+        exact += 1
+    elif separate_st(tau)[:3] != (tau_1, rec.a_set, rec.b_set):
+        exact = 1
+    return tau, inverse, exact
+
+
+def _trace_tail(rho: SetPartition) -> tuple:
+    """The trace verdict of rho (see _with_step), from phi_trace(rho)."""
+    trace = phi_trace(rho)
+    verdict = (trace.core, 0, 0)
+    for row, prev in zip(reversed(trace.forward_rows), trace.reverse_rows[1:]):
+        rec = SeparationRecord(*row[1:], ROLE_IS)
+        verdict = _with_step(verdict, rec, combine_is(rec), prev.tau)
+    return verdict
+
+
 def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
     """Run every per-partition invariant over one RGS-prefix shard of [n].
 
@@ -199,6 +228,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
     trace_on = n <= TRACE_CAP
     parse_on = n <= PARSE_CAP
     union_on = n <= UNION_CAP
+    tails: dict[tuple, tuple] = {}  # remainder blocks -> its trace verdict
 
     def text() -> str:  # the counterexample: built only on failure
         return f"n={n} p={format_partition(p)}"
@@ -232,9 +262,10 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
         rec_is = separate_is(p)
         rec_st = separate_st(p)
         is_ok = combine_domain_ok(rec_is)
+        combined = None  # combine_is(rec_is), once built for this p
         if not (is_ok and combine_domain_ok(rec_st)):
             _fail(fails, "separate-records-in-domain", text())
-        elif combine_is(rec_is) != p or combine_st(rec_st) != p:
+        elif (combined := combine_is(rec_is)) != p or combine_st(rec_st) != p:
             _fail(fails, "separate-combine-roundtrip", text())
         retagged = SeparationRecord(rec_is.rho, rec_is.a_set, rec_is.b_set, ROLE_ST)
         if combine_domain_ok(retagged) != is_ok:
@@ -260,26 +291,21 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
         if not conj_interchange_ok:
             _fail(fails, "conjugate-interchange", text())
         if trace_on:
-            trace = phi_trace(p)
-            if trace.result != _partition(qg):
+            # phi_trace(p) takes the step rec_is, then traces the remainder.
+            verdict = (p, 0, 0)  # no step: no rows
+            if rec_is.a_set or rec_is.b_set:
+                tail = tails.get(rec_is.rho.blocks)
+                if tail is None:
+                    tail = tails[rec_is.rho.blocks] = _trace_tail(rec_is.rho)
+                back = combine_is(rec_is) if combined is None else combined
+                verdict = _with_step(tail, rec_is, back, _reinsert(tail[0], rec_is))
+            tau, inverse, exact = verdict
+            if tau != _partition(qg):
                 _fail(fails, "phi-trace-agreement", text())
-            rows = trace.reverse_rows  # j = k .. 0
-            fwd = trace.forward_rows
-            for row in fwd:
-                rec = SeparationRecord(row.rho, row.initiators, row.singletons, ROLE_IS)
-                back = separate_is(combine_is(rec))
-                if (back.rho, back.a_set, back.b_set) != (rec.rho, rec.a_set, rec.b_set):
-                    _fail(fails, "trace-record-inverse", f"{text()} j={row.j}")
-                    break
-            for idx in range(len(rows) - 1):
-                tau_j = rows[idx].tau  # j = k - idx
-                tau_prev = rows[idx + 1].tau  # j - 1
-                j = rows[idx].j
-                back = separate_st(tau_prev)
-                frow = fwd[j - 1]
-                if (back.rho, back.a_set, back.b_set) != (tau_j, frow.initiators, frow.singletons):
-                    _fail(fails, "reverse-phase-exactness", f"{text()} j={j}")
-                    break
+            if inverse:
+                _fail(fails, "trace-record-inverse", f"{text()} j={inverse}")
+            if exact:
+                _fail(fails, "reverse-phase-exactness", f"{text()} j={exact}")
         nc = _scan(g, sizes) is None
         if nc == bool(core):
             why = f"core={format_partition(_core(core, g))}"
@@ -606,8 +632,8 @@ def verify_suite(n_max: int = 10, comp_n_max: int = 16, jobs: int = 1) -> Verify
     # a partition shard of n ranks 2n - 6 plus the number of blocks its
     # prefix opens (its completions grow with them), the fixed checks 15;
     # ties keep task order.  Alone on a 2 vCPU Xeon (CPython 3.11): the n=9
-    # shard (0,1,2,3) 2.1 s (rank 16), composition_sweep(16) 1.3 s, the
-    # fixed checks 1.2 s, the n=9 shards opening three blocks 0.7-1.1 s.
+    # shard (0,1,2,3) 1.5 s (rank 16), composition_sweep(16) 1.3 s, the
+    # fixed checks 0.9-1.1 s, the n=9 shards opening three blocks 0.5-0.7 s.
     shards = [(n, prefix) for n in range(1, n_max + 1) for prefix in _shards_for(n, jobs)]
     tasks = [(2 * n - 6 + len(set(prefix)), partition_shard, (n, prefix)) for n, prefix in shards]
     tasks += [(m, composition_sweep, (m,)) for m in range(1, comp_n_max + 1)]

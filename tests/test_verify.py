@@ -1,3 +1,4 @@
+from collections import Counter
 import concurrent.futures
 from concurrent.futures import Future
 import hashlib
@@ -13,7 +14,8 @@ import pytest
 from conjlab import DomainError, verify_suite
 from conjlab.cli import main
 from conjlab.compositions import Composition, conjugate_composition, mu
-from conjlab.separate import _combine
+from conjlab.enumeration import rgs_prefixes
+from conjlab.separate import ROLE_IS, SeparationRecord, _combine
 
 noncrossing_module = importlib.import_module("conjlab.noncrossing")
 partition_module = importlib.import_module("conjlab.partition")
@@ -29,6 +31,16 @@ def corrupted_combine_st(rec):
     # Wrong direction: merges the b-elements with their successors, the
     # behaviour of the initiator-side insertion.
     return _combine(rec.rho, rec.a_set, rec.b_set, with_succ=True)
+
+
+def separate_is_in_ranks(p):
+    # Right on [n]; on a sparse support it reports the stripped elements
+    # by rank, not by label.
+    rec = separate_module.separate_is(p)
+    rank = {x: r for r, x in enumerate(p.support, 1)}
+    return rec._replace(
+        a_set=frozenset(map(rank.get, rec.a_set)), b_set=frozenset(map(rank.get, rec.b_set))
+    )
 
 
 def reversed_conjugate_composition(c):
@@ -331,4 +343,150 @@ class TestMapFaultIsAFailure:
             "complement-role-swap": "n=3 p=1 2 - 3",
             "conjugate-involution": "n=3 p=1 2 - 3 conj(p)=1 - 2 3",
             "nc-conjugation-involution": "n=3 p=1 2 - 3",
+        }
+
+
+TRACE_ROWS = ("phi-trace-agreement", "trace-record-inverse", "reverse-phase-exactness")
+
+
+def trace_fails(n, prefix=()):
+    """The trace rows of partition_shard(n, prefix), computed as one
+    phi_trace per partition with every row checked, through verify's
+    bindings: the per-partition loop that the shard's cache replaces."""
+    v = verify_module
+    fails = {}
+    for p in v.iter_set_partitions(n, prefix):
+        text = f"n={n} p={v.format_partition(p)}"
+        trace = v.phi_trace(p)
+        if trace.result != phi_module.phi(p):
+            v._fail(fails, "phi-trace-agreement", text)
+        rows = trace.reverse_rows  # j = k .. 0
+        fwd = trace.forward_rows
+        for row in fwd:
+            rec = SeparationRecord(row.rho, row.initiators, row.singletons, ROLE_IS)
+            back = v.separate_is(v.combine_is(rec))
+            if (back.rho, back.a_set, back.b_set) != (rec.rho, rec.a_set, rec.b_set):
+                v._fail(fails, "trace-record-inverse", f"{text} j={row.j}")
+                break
+        for idx in range(len(rows) - 1):
+            tau_j, tau_prev, j = rows[idx].tau, rows[idx + 1].tau, rows[idx].j
+            back = v.separate_st(tau_prev)
+            frow = fwd[j - 1]
+            if (back.rho, back.a_set, back.b_set) != (tau_j, frow.initiators, frow.singletons):
+                v._fail(fails, "reverse-phase-exactness", f"{text} j={j}")
+                break
+    return fails
+
+
+def shard_trace_fails(n, prefix=()):
+    fails = verify_module.partition_shard(n, prefix)["fails"]
+    return {inv: fail for inv, fail in fails.items() if inv in TRACE_ROWS}
+
+
+class TestTraceTailCache:
+    """partition_shard checks the trace of each strip remainder once per
+    shard and shifts its verdicts by one step: the same failures, counts
+    and counterexamples as checking every phi_trace(p) row by row."""
+
+    SHARDS = [(n, ()) for n in range(1, 8)] + [(8, prefix) for prefix in rgs_prefixes(8, 4)]
+
+    @staticmethod
+    def mutants():
+        """(name, [(module, binding, replacement)]) for each mutant."""
+        off_by_one = source_mutant(separate_module, "_combine", "(i + step)", "(i + step + 1)")
+        keeps_singletons = source_mutant(
+            separate_module,
+            "separate_st",
+            "prof.singletons | prof.terminators",
+            "prof.terminators",
+        )
+        return [
+            ("combine_st", [(phi_module, "combine_st", corrupted_combine_st)]),
+            ("_combine", [(separate_module, "_combine", off_by_one)]),
+            (
+                "separate_st",
+                [(m, "separate_st", keeps_singletons) for m in (separate_module, verify_module)],
+            ),
+            # In verify only: wrong on the sparse rows j >= 2 alone.
+            ("separate_is", [(verify_module, "separate_is", separate_is_in_ranks)]),
+        ]
+
+    def test_unmutated_shards_pass(self):
+        for n, prefix in self.SHARDS:
+            assert shard_trace_fails(n, prefix) == trace_fails(n, prefix) == {}
+
+    def test_mutants_fail_as_the_per_partition_loop(self, monkeypatch):
+        deepest = Counter()  # the largest j of a first counterexample, per row
+        for name, patches in self.mutants():
+            with monkeypatch.context() as patch:
+                for module, binding, new in patches:
+                    patch.setattr(module, binding, new)
+                caught = False
+                for n, prefix in self.SHARDS:
+                    got = shard_trace_fails(n, prefix)
+                    assert got == trace_fails(n, prefix), (name, n, prefix)
+                    caught = caught or bool(got)
+                    for inv, (_, ce) in got.items():
+                        if " j=" in ce:
+                            deepest[inv] = max(deepest[inv], int(ce.rsplit(" j=", 1)[1]))
+                assert caught, name
+        # A first counterexample beyond row 1 comes from a cached tail.
+        assert min(deepest["trace-record-inverse"], deepest["reverse-phase-exactness"]) >= 2
+
+    def test_each_remainder_is_traced_once(self, monkeypatch):
+        v = verify_module
+        real_separate_is = separate_module.separate_is
+        calls = {"parts": [], "separate_is": [], "combine_is": [], "phi_trace": []}
+
+        def wrap(name, real):
+            def counted(*args):
+                out = real(*args)
+                calls[name].append((args[0], out))
+                return out
+
+            monkeypatch.setattr(v, name, counted)
+
+        def enumerate_parts(*args, real=v.iter_set_partitions):
+            for p in real(*args):
+                calls["parts"].append(p)
+                yield p
+
+        for name in ("separate_is", "combine_is", "phi_trace"):
+            wrap(name, getattr(v, name))
+        monkeypatch.setattr(v, "iter_set_partitions", enumerate_parts)
+        for n, prefix in [(7, ()), (8, (0, 1, 0, 2)), (9, (0, 1, 2, 3))]:
+            for log in calls.values():
+                log.clear()
+            v.partition_shard(n, prefix)
+            parts = calls["parts"]
+            ids = {id(p) for p in parts}
+            assert len(ids) == len(parts) == len(set(parts))
+            # separate_is once per partition on p itself.
+            on_p = Counter(id(arg) for arg, _ in calls["separate_is"] if id(arg) in ids)
+            assert on_p == Counter(ids)
+            # combine_is(rec_is) at most once per partition.
+            firsts = {id(rec) for arg, rec in calls["separate_is"] if id(arg) in ids}
+            on_rec = Counter(id(arg) for arg, _ in calls["combine_is"] if id(arg) in firsts)
+            assert max(on_rec.values()) == 1
+            # phi_trace once per distinct remainder of a first step.
+            traced = [arg.blocks for arg, _ in calls["phi_trace"]]
+            steps = map(real_separate_is, parts)
+            remainders = {r.rho.blocks for r in steps if r.a_set or r.b_set}
+            assert len(traced) == len(remainders) < len(parts)
+            assert set(traced) == remainders
+
+    def test_no_stale_combine_is_reuse(self, monkeypatch):
+        # Records whose remainder has two blocks skip the round trip, so
+        # their partitions build combine_is(rec_is) themselves; reusing the
+        # previous partition's would fail trace-record-inverse.
+        real = verify_module.combine_domain_ok
+
+        def refuses_two_blocks(rec, universe=None):
+            return len(rec.rho.blocks) != 2 and real(rec, universe)
+
+        monkeypatch.setattr(verify_module, "combine_domain_ok", refuses_two_blocks)
+        report = verify_suite(7, 2)
+        # As with one phi_trace per partition: only the domain row fails.
+        assert {r.invariant: (r.failures, r.counterexample) for r in report.results if not r.ok} == {
+            "separate-records-in-domain": (704, "n=4 p=1 2 - 3 4")
         }
