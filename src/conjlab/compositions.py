@@ -12,14 +12,20 @@ interior part has two neighbours, an end part one, a sole part none).
 Conjugation interchanges mu and nu for every n >= 2; the one composition
 of n = 1 is the single exception, carrying (mu, nu) = (0, 1) while its
 path form is empty and scores (0, 0).
+
+The public constructor Composition(parts) validates its parts.  Results
+the library makes itself (iter_compositions, conjugate_composition,
+strip_conjugate) have positive parts by construction and go through
+_composition, which skips the check.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import DomainError, ParseError
-from .partition import _Frozen, parse_positive
+from .partition import _Frozen, _new, parse_positive
 
 # The path alphabet; a path is a plain str over it.
 STEP_EAST = "E"
@@ -51,14 +57,16 @@ class Composition(_Frozen):
         return format_composition(self)
 
 
+def _composition(parts: tuple[int, ...]) -> Composition:
+    """Composition(parts) without the check, for parts the library made."""
+    c = _new(Composition)
+    c.__dict__["parts"] = parts
+    return c
+
+
 def to_subset(c: Composition) -> frozenset[int]:
     """Cut points: proper partial sums of the parts, a subset of 1..n-1."""
-    cuts = []
-    total = 0
-    for part in c.parts[:-1]:
-        total += part
-        cuts.append(total)
-    return frozenset(cuts)
+    return frozenset(accumulate(c.parts[:-1]))
 
 
 def from_subset(cuts: Iterable[int], n: int) -> Composition:
@@ -79,8 +87,10 @@ def from_subset(cuts: Iterable[int], n: int) -> Composition:
 
 def to_path(c: Composition) -> str:
     """The n-1 step E/N word of c (step i is N iff i is a cut point)."""
-    cuts = to_subset(c)
-    return "".join(STEP_NORTH if i in cuts else STEP_EAST for i in range(1, c.n))
+    steps = [STEP_EAST] * (c.n - 1)
+    for cut in to_subset(c):
+        steps[cut - 1] = STEP_NORTH
+    return "".join(steps)
 
 
 def path_to_composition(path: str, n: int | None = None) -> Composition:
@@ -116,7 +126,7 @@ def conjugate_composition(c: Composition) -> Composition:
             parts += [1] * (part - 2)
             size = 1
     parts.append(size)
-    return Composition(tuple(parts))
+    return _composition(tuple(parts))
 
 
 def mu(c: Composition) -> int:
@@ -125,14 +135,13 @@ def mu(c: Composition) -> int:
 
 
 def nu(c: Composition) -> int:
-    """Number of 1-parts plus the total neighbour count of the big parts."""
+    """Number of 1-parts plus the total neighbour count of the big parts.
+
+    Each big part has two neighbours, less one at each end of c.
+    """
     parts = c.parts
-    k = len(parts)
-    total = sum(1 for part in parts if part == 1)
-    for i, part in enumerate(parts):
-        if part >= 2:
-            total += (i > 0) + (i < k - 1)
-    return total
+    ones = parts.count(1)
+    return 2 * len(parts) - ones - (parts[0] > 1) - (parts[-1] > 1)
 
 
 def mu_path(path: str) -> int:
@@ -160,33 +169,23 @@ def strip_conjugate(c: Composition) -> Composition:
     turn (vertical strips of height h become h parts of 1; horizontal
     strips of width w become a part w).
     """
-    strips: list[list] = []  # [kind, size], kind "V" or "H"
-    for part in c.parts:
-        if part == 1:
-            if strips and strips[-1][0] == "H":
-                strips[-1][1] += 1
-            else:
-                strips.append(["H", 1])
-        else:
-            strips.append(["V", part])
-    seq: list[list] = []
-    for strip in strips:
-        if seq and seq[-1][0] == "V" and strip[0] == "V":
-            seq.append(["H", 0])
-        seq.append(strip)
-    for i, strip in enumerate(seq):
-        if strip[0] == "H":
-            for j in (i - 1, i + 1):
-                if 0 <= j < len(seq) and seq[j][0] == "V":
-                    seq[j][1] -= 1
-                    strip[1] += 1
     parts: list[int] = []
-    for kind, size in seq:
-        if kind == "V":
-            parts.extend([1] * size)  # erased automatically when size == 0
-        else:
-            parts.append(size)
-    return Composition(tuple(parts))
+    k = len(c.parts)
+    width = 0  # the open horizontal strip: its 1s and its absorbed squares
+    for i, part in enumerate(c.parts):
+        if part == 1:
+            width += 1
+            continue
+        # A vertical strip, with a horizontal strip (maybe empty) on each
+        # side that is not an end of c.  The one before it absorbs a
+        # square and closes; the one after it opens with another.
+        if i:
+            parts.append(width + 1)
+        parts += [1] * (part - (i > 0) - (i < k - 1))
+        width = 1
+    if c.parts[-1] == 1:
+        parts.append(width)
+    return _composition(tuple(parts))
 
 
 def sort_rank(c: Composition) -> tuple[int, tuple[int, ...]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple
 
-from .compositions import Composition, mu, nu
+from .compositions import Composition, _composition, mu, nu
 from .partition import EMPTY, SetPartition, _viewed, adjacency_profile, canonicalize
 
 # Largest n of an exhaustive sweep, in conjlab verify and conjlab
@@ -159,20 +159,17 @@ def random_partition(elements: Iterable[int], rng) -> SetPartition:
 
 
 def iter_compositions(n: int) -> Iterator[Composition]:
-    """All 2^(n-1) compositions of n (by cut-point bitmask, ascending)."""
+    """All 2^(n-1) compositions of n (by cut-point bitmask, ascending).
+
+    Bit i of the mask cuts after i + 1, so its n - 1 bits, read from bit 0
+    up, split at the cuts into runs of 0s, each one short of its part.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    for mask in range(1 << (n - 1)):
-        parts = []
-        size = 1
-        for i in range(n - 1):
-            if mask >> i & 1:
-                parts.append(size)
-                size = 1
-            else:
-                size += 1
-        parts.append(size)
-        yield Composition(tuple(parts))
+    top = 1 << (n - 1)
+    for mask in range(top):
+        # "0b1", then the n - 1 bits of mask down to bit 0: read backwards.
+        yield _composition(tuple([len(run) + 1 for run in bin(top | mask)[:2:-1].split("1")]))
 
 
 PAIR_SING_ADJ = "sing-adj"

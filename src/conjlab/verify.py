@@ -17,13 +17,16 @@ the first counterexample in enumeration order is kept.
 A partition shard runs the map invariants (complement, phi, conjugate,
 noncrossing, Kreweras) on the growth strings that the enumeration hands
 over, through the array kernels of partition, phi and noncrossing, and
-keeps a phi image of growth strings.  It builds partitions only for the
-record-based reference path (separate/combine, phi_trace, the
-interleaved union) and for counterexample text.  complement-involution
-also checks the relabel kernel against its definition, written out
-without it.  The record path checks each strip tail once per shard:
-phi_trace(p) is the step separate_is(p) and the trace of its remainder,
-which many partitions share, so each distinct remainder is traced once.
+keeps a phi image of growth strings.  The union of p and its Kreweras
+complement is one block-id array too, on the interleaved ranks 1..2n;
+the crossing scan reads it once, and once per pair of gap blocks merged.
+The shard builds partitions only for the record-based reference path
+(separate/combine, phi_trace) and for counterexample text.
+complement-involution also checks the relabel kernel against its
+definition, written out without it.  The record path checks each strip
+tail once per shard: phi_trace(p) is the step separate_is(p) and the
+trace of its remainder, which many partitions share, so each distinct
+remainder is traced once.
 
 Each family (partitions, compositions) has one invariant table listing
 (id, scope, largest n) rows in report order; the scope string and the
@@ -63,7 +66,7 @@ from .enumeration import (
     rgs_prefixes,
 )
 from .errors import DomainError
-from .noncrossing import _kreweras, _rotate, _scan, find_crossing, kreweras_complement
+from .noncrossing import _kreweras, _rotate, _scan, kreweras_complement
 from .partition import (
     EMPTY,
     SetPartition,
@@ -324,7 +327,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             if _kreweras(kg, _block_sizes(kg)) != _rotate(g, -1):
                 _fail(fails, "kreweras-double-rotation", text())
             if union_on:
-                ok, why = _union_maximal(p, _partition(kg))
+                ok, why = _union_maximal(g, kg)
                 if not ok:
                     _fail(fails, "kreweras-union-maximal", f"{text()} {why}")
     return {
@@ -336,27 +339,28 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
     }
 
 
-def _union_maximal(p: SetPartition, gaps: SetPartition) -> tuple[bool, str]:
-    """p on odd points 2i-1, its gap partition on even points 2i.
+def _union_maximal(g, kg) -> tuple[bool, str]:
+    """p (growth string g) on the odd ranks 2x - 1 of [2n], its gap
+    partition (growth string kg) on the even ranks 2x, gap block b as
+    block k + b after the k blocks of p.
 
     The union must be noncrossing on the interleaved cycle, and merging
     any two gap blocks must create a crossing (the complement is the
     largest disjoint completion).
     """
-    base = [tuple(2 * x - 1 for x in blk) for blk in p.blocks]
-    kblocks = [tuple(2 * g for g in blk) for blk in gaps.blocks]
-    union = SetPartition(tuple(sorted(base + kblocks)))
-    if find_crossing(union) is not None:
+    k = max(g) + 1
+    union = [0] * (2 * len(g) - 1)
+    union[1::2] = g[1:]
+    union[2::2] = [k + b for b in kg[1:]]
+    sizes = _block_sizes(g)[:k] + _block_sizes(kg)[: max(kg) + 1]
+    if _scan(union, sizes):
         return False, "union crosses"
-    for i in range(len(kblocks)):
-        for j in range(i + 1, len(kblocks)):
-            merged = tuple(sorted(kblocks[i] + kblocks[j]))
-            rest = [b for t, b in enumerate(kblocks) if t != i and t != j]
-            cand = SetPartition(tuple(sorted(base + rest + [merged])))
-            if find_crossing(cand) is None:
-                return False, (
-                    f"gap blocks {kblocks[i]} and {kblocks[j]} merge without crossing"
-                )
+    for i in range(k, len(sizes)):
+        for j in range(i + 1, len(sizes)):
+            merged = [i if b == j else b for b in union]
+            if _scan(merged, [*sizes[:i], sizes[i] + sizes[j], *sizes[i + 1 :]]) is None:
+                gaps = [tuple(2 * x for x in blk) for blk in _partition(kg).blocks]
+                return False, f"gap blocks {gaps[i - k]} and {gaps[j - k]} merge without crossing"
     return True, ""
 
 
@@ -630,14 +634,15 @@ def verify_suite(n_max: int = 10, comp_n_max: int = 16, jobs: int = 1) -> Verify
     # so no large task is left running alone at the end.  One rank step is
     # about a doubling of single-core time: composition_sweep(m) ranks m,
     # a partition shard of n ranks 2n - 6 plus the number of blocks its
-    # prefix opens (its completions grow with them), the fixed checks 15;
+    # prefix opens (its completions grow with them), the fixed checks 16;
     # ties keep task order.  Alone on a 2 vCPU Xeon (CPython 3.11): the n=9
-    # shard (0,1,2,3) 1.5 s (rank 16), composition_sweep(16) 1.3 s, the
-    # fixed checks 0.9-1.1 s, the n=9 shards opening three blocks 0.5-0.7 s.
+    # shard (0,1,2,3) 0.9-1.5 s (rank 16), composition_sweep(16) 0.5-0.75 s,
+    # the fixed checks 0.85-1.1 s, the n=9 shards opening three blocks
+    # 0.4-0.65 s (rank 15).
     shards = [(n, prefix) for n in range(1, n_max + 1) for prefix in _shards_for(n, jobs)]
     tasks = [(2 * n - 6 + len(set(prefix)), partition_shard, (n, prefix)) for n, prefix in shards]
     tasks += [(m, composition_sweep, (m,)) for m in range(1, comp_n_max + 1)]
-    tasks.append((15, _fixed_checks, ()))
+    tasks.append((16, _fixed_checks, ()))
     if jobs > 1:
         # Imported here: it pulls in multiprocessing, which a serial run
         # and every other command would pay for at start-up.

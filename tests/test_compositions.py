@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from conjlab import (
@@ -40,6 +42,66 @@ def naive_nu(c: Composition) -> int:
 
 def naive_path(c: Composition) -> str:
     return "N".join("E" * (part - 1) for part in c.parts)
+
+
+def mask_compositions(n: int) -> list[tuple[int, ...]]:
+    # The parts of each composition of n, bit by bit of the cut mask
+    # (bit i cuts after i + 1), masks ascending.
+    out = []
+    for mask in range(1 << (n - 1)):
+        parts = []
+        size = 1
+        for i in range(n - 1):
+            if mask >> i & 1:
+                parts.append(size)
+                size = 1
+            else:
+                size += 1
+        parts.append(size)
+        out.append(tuple(parts))
+    return out
+
+
+def neighbour_nu(c: Composition) -> int:
+    # nu counted part by part: 1-parts, and each big part's neighbours.
+    parts = c.parts
+    k = len(parts)
+    total = sum(1 for part in parts if part == 1)
+    for i, part in enumerate(parts):
+        if part >= 2:
+            total += (i > 0) + (i < k - 1)
+    return total
+
+
+def strips_conjugate(c: Composition) -> tuple[int, ...]:
+    # Strip transfer on an explicit list of [kind, size] strips.
+    strips: list[list] = []
+    for part in c.parts:
+        if part == 1:
+            if strips and strips[-1][0] == "H":
+                strips[-1][1] += 1
+            else:
+                strips.append(["H", 1])
+        else:
+            strips.append(["V", part])
+    seq: list[list] = []
+    for strip in strips:
+        if seq and seq[-1][0] == "V" and strip[0] == "V":
+            seq.append(["H", 0])
+        seq.append(strip)
+    for i, strip in enumerate(seq):
+        if strip[0] == "H":
+            for j in (i - 1, i + 1):
+                if 0 <= j < len(seq) and seq[j][0] == "V":
+                    seq[j][1] -= 1
+                    strip[1] += 1
+    parts: list[int] = []
+    for kind, size in seq:
+        if kind == "V":
+            parts.extend([1] * size)
+        else:
+            parts.append(size)
+    return tuple(parts)
 
 
 class TestCompositionType:
@@ -85,6 +147,33 @@ class TestCompositionType:
             parse_composition("")
         with pytest.raises(ParseError):
             parse_composition("2,0,1")
+
+
+class TestBuiltCompositions:
+    """iter_compositions, conjugate_composition and strip_conjugate skip
+    the validating constructor: the same values as the loops they replace
+    and as Composition(parts)."""
+
+    N = range(1, 15)
+
+    def test_iter_compositions_is_the_mask_loop(self):
+        for n in self.N:
+            assert [c.parts for c in iter_compositions(n)] == mask_compositions(n)
+
+    def test_strip_conjugate_and_nu_as_counted_before(self):
+        for n in self.N:
+            for c in iter_compositions(n):
+                assert strip_conjugate(c).parts == strips_conjugate(c)
+                assert nu(c) == neighbour_nu(c)
+
+    def test_same_value_as_the_public_constructor(self):
+        for n in self.N:
+            for c in iter_compositions(n):
+                for built in (c, conjugate_composition(c), strip_conjugate(c)):
+                    public = C(built.parts)
+                    assert type(built) is Composition and built == public
+                    assert hash(built) == hash(public)
+                    assert pickle.dumps(built) == pickle.dumps(public)
 
 
 class TestSubsetAndPath:

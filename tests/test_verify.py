@@ -11,12 +11,15 @@ import textwrap
 
 import pytest
 
-from conjlab import DomainError, verify_suite
+from conjlab import DomainError, SetPartition, verify_suite
 from conjlab.cli import main
 from conjlab.compositions import Composition, conjugate_composition, mu
 from conjlab.enumeration import rgs_prefixes
+from conjlab.noncrossing import find_crossing
+from conjlab.partition import _partition, _renumber
 from conjlab.separate import ROLE_IS, SeparationRecord, _combine
 
+compositions_module = importlib.import_module("conjlab.compositions")
 noncrossing_module = importlib.import_module("conjlab.noncrossing")
 partition_module = importlib.import_module("conjlab.partition")
 phi_module = importlib.import_module("conjlab.phi")
@@ -289,6 +292,7 @@ class TestArrayShard:
         "is_noncrossing",
         "kreweras_complement",
         "rotate_partition",
+        "find_crossing",
     )
 
     def test_object_maps_stay_off_the_hot_path(self, monkeypatch):
@@ -305,6 +309,17 @@ class TestArrayShard:
         assert got["fails"] == want["fails"] == {}
         assert (got["count"], got["nc"], got["dist"]) == (want["count"], want["nc"], want["dist"])
         assert got["image"] == want["image"] and len(got["image"]) == got["count"]
+
+
+class TestCompositionSweepBuildsOnce:
+    def test_no_validating_constructor(self, monkeypatch):
+        # Every composition of the sweep is one the library made itself.
+        def refuse(self, parts):
+            raise AssertionError(f"Composition({parts!r}) validated in composition_sweep")
+
+        monkeypatch.setattr(Composition, "__init__", refuse)
+        out = verify_module.composition_sweep(8)
+        assert (out["count"], out["fails"]) == (128, {})
 
 
 class TestMapFaultIsAFailure:
@@ -333,6 +348,29 @@ class TestMapFaultIsAFailure:
         out, err = capsys.readouterr()
         assert out == report.render() + "\n"
         assert err == ""
+
+    def test_zero_part_conjugate_is_a_failure(self, monkeypatch, capsys):
+        # The last part one short: the library's own constructor does not
+        # validate, so a zero part reaches the checks and fails them.
+        mutant = source_mutant(
+            compositions_module,
+            "conjugate_composition",
+            "parts.append(size)\n    return",
+            "parts.append(size - 1)\n    return",
+        )
+        monkeypatch.setattr(verify_module, "conjugate_composition", mutant)
+        assert main(["verify", "--n-max", "2", "--comp-n-max", "4"]) == 3
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[-1].startswith("result: FAIL")
+        rows = [line.split("counterexample: ") for line in out.splitlines()]
+        assert {row[0].split()[1]: row[1] for row in rows if row[0].startswith("[FAIL]")} == {
+            "comp-conjugate-involution": "n=1 c=1",
+            "comp-strip-agreement": "n=1 c=1 strip=1 flip=0",
+            "comp-mu-nu-interchange": "n=2 c=2",
+            "comp-sorted-palindrome": "n=1 position=0 c=1",
+            "mu-nu-n1-exception": "stats=(0, 1) conj_stats=(0, 2)",
+        }
 
     def test_identity_relabel_fails_its_definition(self, monkeypatch):
         # An involution, so only the comparison with the reversed growth
@@ -490,3 +528,52 @@ class TestTraceTailCache:
         assert {r.invariant: (r.failures, r.counterexample) for r in report.results if not r.ok} == {
             "separate-records-in-domain": (704, "n=4 p=1 2 - 3 4")
         }
+
+
+def object_union_maximal(p, gaps):
+    """The interleaved-union check on SetPartitions, as verify ran it
+    before it moved to growth strings: p on odd points 2i-1, the gap
+    partition on even points 2i."""
+    base = [tuple(2 * x - 1 for x in blk) for blk in p.blocks]
+    kblocks = [tuple(2 * g for g in blk) for blk in gaps.blocks]
+    union = SetPartition(tuple(sorted(base + kblocks)))
+    if find_crossing(union) is not None:
+        return False, "union crosses"
+    for i in range(len(kblocks)):
+        for j in range(i + 1, len(kblocks)):
+            merged = tuple(sorted(kblocks[i] + kblocks[j]))
+            rest = [b for t, b in enumerate(kblocks) if t != i and t != j]
+            cand = SetPartition(tuple(sorted(base + rest + [merged])))
+            if find_crossing(cand) is None:
+                return False, (
+                    f"gap blocks {kblocks[i]} and {kblocks[j]} merge without crossing"
+                )
+    return True, ""
+
+
+class TestUnionMaximal:
+    """kreweras-union-maximal scans the interleaved growth string: the same
+    verdicts and texts as the object version, and a fault it catches."""
+
+    def test_matches_the_object_version(self, union_inputs):
+        verdicts = Counter()
+        for p, kg in union_inputs:
+            got = verify_module._union_maximal(p._view[2], kg)
+            assert got == object_union_maximal(p, _partition(kg)), (str(p), kg)
+            verdicts[got[1].split(" ", 1)[0]] += 1
+        # Complements pass; split and merged gap blocks fail both ways.
+        assert set(verdicts) == {"", "union", "gap"}
+
+    def test_split_gap_block_fails(self, monkeypatch):
+        real = verify_module._kreweras
+
+        def split_last(bid, sizes):
+            # Rank m leaves its gap block for a block of its own.
+            kg = real(bid, sizes)
+            return _renumber([*kg[1:-1], len(kg) - 1])
+
+        monkeypatch.setattr(verify_module, "_kreweras", split_last)
+        fails = failing(verify_suite(5, 2))
+        assert fails["kreweras-union-maximal"] == (
+            "n=2 p=1 - 2 gap blocks (2,) and (4,) merge without crossing"
+        )
