@@ -6,6 +6,8 @@ enumeration splits into independent sub-ranges by fixing a prefix; the
 shards cover the whole space exactly once and can run concurrently.
 Each partition carries its growth string, the form the partition kernels
 work on, as the rank view (n, None, (0, a_1, ..., a_n)) of its blocks.
+Lex order changes only a tail of the string (Knuth, TAOCP 4A, 7.2.1.5),
+so consecutive partitions share the tuples of the blocks it leaves alone.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ def catalan_number(n: int) -> int:
 
 
 def _check_prefix(n: int, prefix: tuple[int, ...]) -> None:
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if len(prefix) > n:
         raise ValueError(f"prefix longer than n={n}: {prefix!r}")
     top = 0
@@ -92,6 +96,8 @@ def iter_rgs(n: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
 
 def rgs_prefixes(n: int, depth: int) -> list[tuple[int, ...]]:
     """All growth-string prefixes of the given depth (shard keys, lex order)."""
+    if depth < 0:
+        raise ValueError(f"prefix depth must be >= 0, got {depth}")
     return list(iter_rgs(min(depth, n)))
 
 
@@ -102,28 +108,29 @@ def iter_set_partitions(
 
     Follows the growth strings of iter_rgs in the same order, moving only
     the elements whose letters changed: those are the largest elements,
-    so each sits at the end of its block.
+    so each sits at the end of its block.  A block is a tuple, rebuilt
+    only when an element leaves or joins it, and otherwise shared.
     """
     _check_prefix(n, prefix)
     if n == 0:
         yield EMPTY
         return
-    blocks: list[list[int]] = []
+    blocks: list[tuple[int, ...]] = []
     held = [0] * n  # held[j]: the block element j + 1 sits in
     for a, i in _rgs_walk(n, prefix):
         if blocks:  # element 1 never moves, so blocks[0] never empties
             for j in range(n - 1, i - 1, -1):
-                blocks[held[j]].pop()
+                b = held[j]
+                blocks[b] = blocks[b][:-1]
             while not blocks[-1]:
                 blocks.pop()
         for j in range(i, n):
-            letter = a[j]
-            held[j] = letter
+            letter = held[j] = a[j]
             if letter == len(blocks):
-                blocks.append([j + 1])
+                blocks.append((j + 1,))
             else:
-                blocks[letter].append(j + 1)
-        yield _viewed(tuple(map(tuple, blocks)), (n, None, (0, *a)))
+                blocks[letter] += (j + 1,)
+        yield _viewed(tuple(blocks), (n, None, (0, *a)))
 
 
 def iter_set_partitions_of(elements: Iterable[int]) -> Iterator[SetPartition]:

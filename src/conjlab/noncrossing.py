@@ -54,18 +54,20 @@ def _scan(bid, sizes, pockets=None):
     return None
 
 
-def _kreweras(bid, sizes):
-    """The growth string of the Kreweras complement of the growth string
-    bid with block sizes sizes, or None when bid is crossing."""
+def _kreweras(bid, sizes, build=_renumber):
+    """The Kreweras complement of the growth string bid with block sizes
+    sizes, its pockets renumbered by build (by default its growth string,
+    with _partition the partition), or None when bid is crossing."""
     pockets: list[int] = []
-    return None if _scan(bid, sizes, pockets) else _renumber(pockets)
+    return None if _scan(bid, sizes, pockets) else build(pockets)
 
 
-def _rotate(g, shift: int) -> tuple[int, ...]:
+def _rotate(g, shift: int, build=_renumber):
     """The growth string of x -> ((x - 1 + shift) mod m) + 1 on the growth
-    string g of a partition of [m]: rank y takes the block of y - shift."""
+    string g of a partition of [m]: rank y takes the block of y - shift,
+    renumbered by build (with _partition, the partition itself)."""
     cut = len(g) - shift % (len(g) - 1)
-    return _renumber(g[cut:] + g[1:cut])
+    return build(g[cut:] + g[1:cut])
 
 
 def find_crossing(p: SetPartition):
@@ -102,10 +104,10 @@ def kreweras_complement(p: SetPartition) -> SetPartition:
     if not blocks:
         return EMPTY
     n = inferred_n(p)
-    g = _kreweras(_ranks_of(p, (n, True))[2], map(len, blocks))
-    if g is None:
+    k = _kreweras(_ranks_of(p, (n, True))[2], map(len, blocks), _partition)
+    if k is None:
         raise DomainError(f"partition is crossing: quadruple {find_crossing(p)}")
-    return _partition(g)
+    return k
 
 
 def graphical_conjugate(p: SetPartition) -> SetPartition:
@@ -125,7 +127,7 @@ def rotate_partition(p: SetPartition, shift: int) -> SetPartition:
     if not p.blocks:
         return EMPTY
     n = inferred_n(p)
-    return _partition(_rotate(_ranks_of(p, (n, True))[2], shift))
+    return _rotate(_ranks_of(p, (n, True))[2], shift, _partition)
 
 
 def format_gaps(p: SetPartition) -> str:

@@ -12,7 +12,9 @@ of ranks(): bid[r] is the block of rank r, blocks numbered by least
 element, so bid is the restricted growth string of a partition of [m]
 (after a pad).  The kernels take and return growth strings; the public
 functions are adapters that take a partition's view and build their
-result with _partition, which hands its growth string on as its view.
+result in one pass with _partition: from the keys a kernel gives (the
+transfer's roots, a reversed or rotated growth string) it makes blocks
+and their growth string, which it hands on as the result's view.
 
 Text form: blocks joined by " - ", elements by single spaces; the empty
 partition is the empty string.
@@ -170,19 +172,26 @@ def _renumber(keys) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _partition(g, labels=None) -> SetPartition:
-    """The partition with growth string g on ranks read through labels
-    (None: rank r is r), which carries (m, labels, g) as its rank view."""
+def _partition(keys, labels=None) -> SetPartition:
+    """The partition whose blocks are the ranks with equal keys, read
+    through labels (None: rank r is r), keys as for _renumber; it carries
+    (m, labels, g) as its view, g = _renumber(keys) made in the same pass."""
+    new = [-1] * (len(keys) + 1)
     blocks: list[list[int]] = []
-    for r in range(1, len(g)):
-        b = g[r]
-        if b < len(blocks):
-            blocks[b].append(r)
-        else:
+    g = [0]
+    r = 0
+    for k in keys:
+        r += 1
+        b = new[k]
+        if b < 0:
+            b = new[k] = len(blocks)
             blocks.append([r])
+        else:
+            blocks[b].append(r)
+        g.append(b)
     if labels is not None:
         blocks = [map(labels.__getitem__, blk) for blk in blocks]
-    return _viewed(tuple(map(tuple, blocks)), (len(g) - 1, labels, g))
+    return _viewed(tuple(map(tuple, blocks)), (len(keys), labels, tuple(g)))
 
 
 def _profile(bid, sizes) -> tuple[list[int], list[int], list[int]]:
@@ -242,8 +251,10 @@ def canonicalize(raw_blocks: Iterable[Iterable[int]]) -> SetPartition:
 
 
 def require_full_support(p: SetPartition, n: int) -> None:
-    """Raise DomainError unless the support of p is exactly {1, ..., n}."""
-    m, full = support_size(p.blocks)
+    """Raise DomainError unless the support of p is exactly {1, ..., n}.
+    A handed-over view without labels says the support is 1..m."""
+    view = p._view
+    m, full = (view[0], True) if view and view[1] is None else support_size(p.blocks)
     if n < 1 or m != n or not full:
         got = format_partition(p) or "(empty)"
         raise DomainError(f"support of {got!r} is not 1..{n}")
@@ -270,13 +281,14 @@ def complement(p: SetPartition, n: int) -> SetPartition:
 def _complement(p: SetPartition, n: int) -> SetPartition:
     """complement(p, n) without the support check, for a caller that has
     checked the support of p."""
-    return _partition(_relabel(_ranks_of(p, (n, True))[2]))
+    return _relabel(_ranks_of(p, (n, True))[2], _partition)
 
 
-def _relabel(g) -> tuple[int, ...]:
+def _relabel(g, build=_renumber):
     """The growth string of x -> m + 1 - x on the growth string g of a
-    partition of [m]: g read from rank m down to 1, renumbered."""
-    return _renumber(g[:0:-1])
+    partition of [m]: g read from rank m down to 1, renumbered by build
+    (with _partition, the partition itself)."""
+    return build(g[:0:-1])
 
 
 def format_partition(p: SetPartition) -> str:

@@ -16,10 +16,11 @@ a partition of ranks (partition.ranks), the form that the adjacency
 profile, the relabel and the crossing scans share: they read block ids
 by rank, and the transfer's roots, renumbered, are the growth string of
 the result.  phi, phi_inverse, reduce_core and conjugate are adapters
-that take a partition's rank view and build blocks from the roots.  The
-exhaustive checks sweep millions of partitions on growth strings alone;
-phi_trace keeps the readable record-based computation, and the two
-paths are compared exhaustively in the tests.
+that take a partition's rank view and build blocks from the roots in
+one pass (partition._partition).  The exhaustive checks sweep millions
+of partitions on growth strings alone; phi_trace keeps the readable
+record-based computation, and the two paths are compared exhaustively
+in the tests.
 
 A full scan per step makes a strip O(m x steps) on a support of size m,
 and nested inputs take about m/2 steps.  So once its scans would pass
@@ -157,8 +158,8 @@ def _root(link, x: int) -> int:
 def _transfer(bid, strip, invert: bool) -> list[int]:
     """The roots of phi (invert False) or phi_inverse (invert True): root[r]
     names the block of rank r in the result, from the _strip result strip
-    on bid, run with the same invert: _renumber(root[1:]) is the
-    result's growth string.
+    on bid, run with the same invert: the ranks with equal roots form a
+    block of the result, so _partition(root[1:]) builds it.
 
     The result's blocks are the classes of a union-find over the strip's
     links and the core blocks.  Links point back in scan order, bar one
@@ -210,14 +211,14 @@ def phi(p: SetPartition) -> SetPartition:
     preserves it.
     """
     view, root = _map(p, False)
-    return _partition(_renumber(root[1:]), view[1])
+    return _partition(root[1:], view[1])
 
 
 def phi_inverse(p: SetPartition) -> SetPartition:
     """Two-sided inverse of phi: strip singletons/terminators, rebuild
     joining each stripped singleton to its cyclic successor."""
     view, root = _map(p, True)
-    return _partition(_renumber(root[1:]), view[1])
+    return _partition(root[1:], view[1])
 
 
 def reduce_core(p: SetPartition) -> SetPartition:
@@ -300,4 +301,4 @@ def conjugate(p: SetPartition, n: int) -> SetPartition:
     """
     require_full_support(p, n)
     _, root = _map(p, False, (n, True))
-    return _partition(_relabel(root))
+    return _relabel(root, _partition)

@@ -186,7 +186,7 @@ def _block_sizes(g) -> list[int]:
 
 def _text(g) -> str:
     """A growth string in dash notation, for counterexample text."""
-    return format_partition(_partition(g))
+    return format_partition(_partition(g[1:]))
 
 
 def _with_step(tail: tuple, rec: SeparationRecord, combined, tau) -> tuple:
@@ -303,7 +303,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
                 back = combine_is(rec_is) if combined is None else combined
                 verdict = _with_step(tail, rec_is, back, _reinsert(tail[0], rec_is))
             tau, inverse, exact = verdict
-            if tau != _partition(qg):
+            if tau != _partition(qg[1:]):
                 _fail(fails, "phi-trace-agreement", text())
             if inverse:
                 _fail(fails, "trace-record-inverse", f"{text()} j={inverse}")
@@ -359,7 +359,7 @@ def _union_maximal(g, kg) -> tuple[bool, str]:
         for j in range(i + 1, len(sizes)):
             merged = [i if b == j else b for b in union]
             if _scan(merged, [*sizes[:i], sizes[i] + sizes[j], *sizes[i + 1 :]]) is None:
-                gaps = [tuple(2 * x for x in blk) for blk in _partition(kg).blocks]
+                gaps = [tuple(2 * x for x in blk) for blk in _partition(kg[1:]).blocks]
                 return False, f"gap blocks {gaps[i - k]} and {gaps[j - k]} merge without crossing"
     return True, ""
 

@@ -74,6 +74,66 @@ class TestRgsEnumeration:
         assert sorted(sharded) == sorted(full)
         assert len(sharded) == len(full)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: list(iter_set_partitions(-1)),
+            lambda: list(iter_rgs(-1)),
+            lambda: rgs_prefixes(-1, 2),
+        ],
+        ids=["iter_set_partitions", "iter_rgs", "rgs_prefixes"],
+    )
+    def test_negative_n_rejected(self, call):
+        with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+            call()
+
+    def test_negative_prefix_depth_rejected(self):
+        with pytest.raises(ValueError, match=r"^prefix depth must be >= 0, got -1$"):
+            rgs_prefixes(3, -1)
+
+
+def rebuilt(n, prefix=()):
+    """(blocks, view) of each partition of [n] in the lex order of iter_rgs,
+    with its blocks made afresh from its growth string."""
+    out = []
+    for a in iter_rgs(n, prefix):
+        blocks: list[list[int]] = []
+        for x, b in enumerate(a, 1):
+            if b == len(blocks):
+                blocks.append([x])
+            else:
+                blocks[b].append(x)
+        out.append((tuple(map(tuple, blocks)), (n, None, (0, *a))))
+    return out
+
+
+class TestSharedBlockTuples:
+    """Consecutive partitions share the tuples of the blocks whose
+    letters did not change."""
+
+    SHARDS = [(n, ()) for n in range(1, 10)] + [(9, pre) for pre in rgs_prefixes(9, 4)]
+
+    def test_blocks_and_views_match_a_fresh_build(self):
+        for n, prefix in self.SHARDS:
+            got = [(p.blocks, p._view) for p in iter_set_partitions(n, prefix)]
+            assert got == rebuilt(n, prefix), (n, prefix)
+
+    def test_untouched_blocks_are_shared(self):
+        shared = 0
+        for n, prefix in self.SHARDS:
+            prev = None
+            for p in iter_set_partitions(n, prefix):
+                if prev is not None:
+                    a, b = prev._view[2], p._view[2]
+                    i = next(j for j in range(1, n + 1) if a[j] != b[j])
+                    touched = {*a[i:], *b[i:]}
+                    for k, blk in enumerate(p.blocks):
+                        if k not in touched:
+                            assert blk is prev.blocks[k], (n, prefix, str(p))
+                            shared += 1
+                prev = p
+        assert shared > 100_000
+
 
 class TestArbitrarySupports:
     def test_scattered_ground_set(self):

@@ -193,14 +193,14 @@ class TestScanKernels:
             kg = noncrossing_module._kreweras(g, sizes)
             if nc:
                 k = kreweras_complement(bare)
-                assert _partition(kg) == k == phi(bare)
+                assert _partition(kg[1:]) == k == phi(bare)
                 assert kg == tuple(ranks(k.blocks)[2])
             else:
                 assert kg is None
                 with pytest.raises(DomainError):
                     kreweras_complement(bare)
             back = canonicalize([(x - 2) % n + 1 for x in blk] for blk in p.blocks)
-            assert _partition(noncrossing_module._rotate(g, -1)) == back
+            assert _partition(noncrossing_module._rotate(g, -1)[1:]) == back
             assert rotate_partition(bare, -1) == back
 
 

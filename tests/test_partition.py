@@ -1,3 +1,4 @@
+import importlib
 import pickle
 
 import pytest
@@ -11,14 +12,31 @@ from conjlab import (
     adjacency_profile,
     canonicalize,
     complement,
+    conjugate,
     format_partition,
     inferred_n,
+    kreweras_complement,
+    noncrossing,
     parse_partition,
+    phi,
+    phi_inverse,
+    rotate_partition,
 )
+from conjlab import partition as partition_module
 from conjlab.enumeration import iter_set_partitions
-from conjlab.partition import _partition, _profile, _relabel, partition_to_blocks, ranks
+from conjlab.partition import (
+    _partition,
+    _profile,
+    _relabel,
+    _renumber,
+    partition_to_blocks,
+    ranks,
+)
 
 from conftest import all_partitions
+
+# conjlab.phi is the function; its module is imported by name.
+phi_module = importlib.import_module("conjlab.phi")
 
 
 def naive_profile(p: SetPartition):
@@ -205,7 +223,7 @@ class TestHandedOverView:
         for p in kernel_inputs:
             n, _, g = p._view
             want = canonicalize([n + 1 - x for x in blk] for blk in p.blocks)
-            got = _partition(_relabel(g))
+            got = _partition(_relabel(g)[1:])
             assert got == want == complement(SetPartition(p.blocks), n)
             assert got._view[2] == tuple(ranks(want.blocks)[2])
 
@@ -227,6 +245,85 @@ class TestHandedOverView:
             assert pickle.dumps(p, 4) == pickle.dumps(bare, 4)
             back = pickle.loads(pickle.dumps(p))
             assert back == p and back._view is None and p._view is not None
+
+
+def two_pass_partition(keys, labels=None):
+    """(blocks, view) of the partition whose blocks are the ranks with
+    equal keys, built in two passes: _renumber, then a walk over the
+    growth string that appends each rank to its block."""
+    g = _renumber(keys)
+    blocks: list[list[int]] = []
+    for r in range(1, len(g)):
+        if g[r] < len(blocks):
+            blocks[g[r]].append(r)
+        else:
+            blocks.append([r])
+    if labels is not None:
+        blocks = [[labels[r] for r in blk] for blk in blocks]
+    return tuple(map(tuple, blocks)), (len(g) - 1, labels, g)
+
+
+def builder_keys(p):
+    """The keys that the public maps hand to _partition for p, a partition
+    of [n] with its growth string: the roots of phi and of phi_inverse,
+    the reversed string (complement) and three rotations."""
+    n, _, g = p._view
+    sizes = list(map(len, p.blocks))
+    out = [phi_module._map(p, invert)[1][1:] for invert in (False, True)]
+    out.append(_relabel(g, list))
+    out += [noncrossing._rotate(g, shift, list) for shift in (-1, 1, n // 2)]
+    kg = noncrossing._kreweras(g, sizes, list)
+    return out if kg is None else [*out, kg]
+
+
+class TestOnePassBuilder:
+    """_partition builds a result from the keys of a kernel in one pass;
+    the two-pass builder it replaced is the oracle."""
+
+    def test_equals_the_two_pass_builder(self, kernel_inputs):
+        builds = 0
+        for p in kernel_inputs:
+            n = p._view[0]
+            sparse = list(range(0, 3 * n + 1, 3))  # rank r is 3r
+            for keys in builder_keys(p):
+                for labels in (None, sparse):
+                    q = _partition(keys, labels)
+                    assert (q.blocks, q._view) == two_pass_partition(keys, labels)
+                    builds += 1
+        assert builds > 300_000
+
+    def test_sparse_phi_roots(self, sparse_samples):
+        for p in sparse_samples:
+            for invert in (False, True):
+                view, root = phi_module._map(p, invert)
+                q = _partition(root[1:], view[1])
+                assert (q.blocks, q._view) == two_pass_partition(root[1:], view[1])
+                assert q == (phi_inverse(p) if invert else phi(p))
+
+    def test_public_maps_build_without_renumber(self, monkeypatch):
+        # Every way to _renumber raises: the module bindings and the
+        # default builder of the kernels.  The maps still give the same
+        # results, so none of them renumbers before it builds.
+        def refuse(keys):
+            raise AssertionError("_renumber ran before _partition")
+
+        p = parse_partition("1 5 8 - 2 - 3 - 4 - 6 7")
+        nc = parse_partition("1 4 - 2 3 - 5")
+        calls = [
+            lambda: phi(p),
+            lambda: phi_inverse(p),
+            lambda: complement(p, 8),
+            lambda: conjugate(p, 8),
+            lambda: kreweras_complement(nc),
+            lambda: rotate_partition(p, 3),
+        ]
+        want = [call() for call in calls]
+        for module in (partition_module, phi_module, noncrossing):
+            if hasattr(module, "_renumber"):
+                monkeypatch.setattr(module, "_renumber", refuse)
+        for kernel in (_relabel, noncrossing._kreweras, noncrossing._rotate):
+            monkeypatch.setattr(kernel, "__defaults__", (refuse,))
+        assert [call() for call in calls] == want
 
 
 class TestComplement:

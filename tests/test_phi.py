@@ -138,7 +138,7 @@ def phi_and_core(p):
     """(phi(p), reduce_core(p)) from the one strip of the array kernel."""
     _, labels, bid = ranks(p.blocks)
     g, core = phi_module._phi_growth(bid, list(map(len, p.blocks)))
-    return _partition(g, labels), phi_module._core(core, bid, labels)
+    return _partition(g[1:], labels), phi_module._core(core, bid, labels)
 
 
 class TestPhiAndCore:
@@ -167,12 +167,12 @@ class TestGrowthStringKernels:
             trace = phi_trace(bare)
             qg, core = phi_module._phi_growth(g, sizes)
             q = phi(bare)
-            assert _partition(qg) == q == trace.result
+            assert _partition(qg[1:]) == q == trace.result
             assert qg == tuple(ranks(q.blocks)[2])
             assert phi_module._core(core, g) == reduce_core(bare) == trace.core
             ig, _ = phi_module._phi_growth(g, sizes, True)
-            assert _partition(ig) == phi_inverse(bare)
-            assert phi(_partition(ig)) == bare
+            assert _partition(ig[1:]) == phi_inverse(bare)
+            assert phi(_partition(ig[1:])) == bare
 
     def test_results_hand_their_growth_string_on(self, sparse_samples):
         for p in sparse_samples:

@@ -25,6 +25,7 @@ from conjlab import (
     parse_partition,
     partition,
 )
+from conjlab.enumeration import iter_set_partitions, iter_set_partitions_of
 from conjlab.verify import CheckResult
 
 # conjlab.phi is the function; its module is imported by name.
@@ -173,3 +174,78 @@ def test_support_errors_name_the_input(text, n, message):
         with pytest.raises(DomainError) as err:
             fn(p, n)
         assert str(err.value) == message
+
+
+def outcome(call, p):
+    """The blocks that call(p) returns, or the text of its DomainError."""
+    try:
+        return call(p).blocks
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+FULL_SUPPORT_MAPS = {
+    "complement": lambda p, n: complement(p, n),
+    "conjugate": lambda p, n: conjugate(p, n),
+    "kreweras_complement": lambda p, n: noncrossing.kreweras_complement(p),
+    "rotate_partition": lambda p, n: noncrossing.rotate_partition(p, 2),
+    "graphical_conjugate": lambda p, n: noncrossing.graphical_conjugate(p),
+}
+
+
+def viewed_inputs():
+    """Partitions with a handed-over view: of [m] from the enumeration and
+    from phi, with labels over sparse supports, and built by hand with
+    labels over full and sparse supports."""
+    out = [p for m in range(1, 5) for p in iter_set_partitions(m)]
+    out += iter_set_partitions_of([7, 3, 8])
+    out += [phi_module.phi(p) for p in iter_set_partitions_of([2, 4, 5, 9])]
+    for p in iter_set_partitions(4):
+        m, _, g = p._view
+        out.append(partition._viewed(p.blocks, (m, list(range(m + 1)), g)))
+        spread = [0, 1, 2, 3, 5]  # rank 4 is the element 5
+        blocks = tuple(tuple(spread[r] for r in blk) for blk in p.blocks)
+        out.append(partition._viewed(blocks, (m, spread, g)))
+    return out
+
+
+@pytest.mark.parametrize("name", FULL_SUPPORT_MAPS)
+def test_viewed_inputs_get_the_same_support_verdict(name):
+    # require_full_support reads the view of a partition of [m] without
+    # scanning its blocks; its verdict and wording are those for a copy
+    # without a view.
+    call = FULL_SUPPORT_MAPS[name]
+    errors = 0
+    for p in viewed_inputs():
+        bare = SetPartition(p.blocks)
+        m = sum(map(len, p.blocks))
+        for n in (m - 1, m, m + 1):
+            got = outcome(lambda q: call(q, n), p)
+            assert got == outcome(lambda q: call(q, n), bare), (name, str(p), n)
+            errors += isinstance(got, str) and "support of" in got
+    assert errors
+
+
+@pytest.mark.parametrize(
+    "p, n, message",
+    [
+        (list(iter_set_partitions(3))[0], 4, "support of '1 2 3' is not 1..4"),
+        (list(iter_set_partitions(3))[4], 2, "support of '1 - 2 - 3' is not 1..2"),
+        (list(iter_set_partitions_of([7, 3, 8]))[1], 3, "support of '3 7 - 8' is not 1..3"),
+        (phi_module.phi(parse_partition("2 - 5")), 2, "support of '2 5' is not 1..2"),
+    ],
+)
+def test_viewed_support_errors_name_the_input(p, n, message):
+    assert p._view is not None
+    for fn in (conjugate, complement):
+        with pytest.raises(DomainError) as err:
+            fn(p, n)
+        assert str(err.value) == message
+
+
+def test_a_view_of_one_to_m_is_not_measured(monkeypatch):
+    # A view without labels says the support is 1..m: no block scan.
+    monkeypatch.setattr(partition, "support_size", None)
+    for p in iter_set_partitions(5):
+        assert conjugate(conjugate(p, 5), 5) == p
+        assert complement(phi_module.phi(p), 5)._view is not None
