@@ -114,9 +114,9 @@ def cmd_kreweras(args, use_json: bool) -> int:
 
     p = parse_partition(args.partition)
     kc = kreweras_complement(p)  # checks the support; DomainError names a crossing
-    # Kreweras maps the empty partition to itself; inferred_n refuses it.
-    n = sum(map(len, p.blocks)) or inferred_n(p)
-    gc = _complement(kc, n)  # graphical_conjugate(p), reusing kc
+    if not p.blocks:
+        inferred_n(p)  # Kreweras maps the empty partition to itself; the command refuses it
+    gc = _complement(kc)  # graphical_conjugate(p), reusing kc
     payload = {
         "input": partition_to_blocks(p),
         "kreweras": partition_to_blocks(kc),

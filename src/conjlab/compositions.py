@@ -41,11 +41,8 @@ class Composition(_Frozen):
     def __init__(self, parts: tuple[int, ...]):
         if not parts:
             raise ValueError("composition needs at least one part")
-        if set(map(type, parts)) == {int}:
-            bad = min(parts) < 1
-        else:  # bool is an int subclass; other subclasses are accepted
-            bad = any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in parts)
-        if bad:
+        # bool is an int subclass; other subclasses are accepted
+        if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in parts):
             raise ValueError(f"parts must be positive integers: {parts!r}")
         object.__setattr__(self, "parts", parts)
 

@@ -183,6 +183,12 @@ PAIR_SING_ADJ = "sing-adj"
 PAIR_MU_NU = "mu-nu"
 
 
+def _asymmetric_pair(counts):
+    """The least (s, t) whose count differs from that of (t, s), a missing
+    pair counting 0; None when the table counts is symmetric."""
+    return next((k for k, v in sorted(counts.items()) if counts.get(k[::-1], 0) != v), None)
+
+
 class DistributionTable(NamedTuple):
     """Joint counts of a statistic pair over all objects of one size."""
 
@@ -195,7 +201,7 @@ class DistributionTable(NamedTuple):
         return sum(self.counts.values())
 
     def is_symmetric(self) -> bool:
-        return all(self.counts.get((t, s)) == c for (s, t), c in self.counts.items())
+        return _asymmetric_pair(self.counts) is None
 
 
 def distribution(n: int, pair: str) -> DistributionTable:

@@ -26,7 +26,7 @@ from .partition import (
     _partition,
     _ranks_of,
     _renumber,
-    inferred_n,
+    require_full_support,
 )
 
 
@@ -103,8 +103,8 @@ def kreweras_complement(p: SetPartition) -> SetPartition:
     blocks = p.blocks
     if not blocks:
         return EMPTY
-    n = inferred_n(p)
-    k = _kreweras(_ranks_of(p, (n, True))[2], map(len, blocks), _partition)
+    g = require_full_support(p, sum(map(len, blocks)))
+    k = _kreweras(g, map(len, blocks), _partition)
     if k is None:
         raise DomainError(f"partition is crossing: quadruple {find_crossing(p)}")
     return k
@@ -115,8 +115,7 @@ def graphical_conjugate(p: SetPartition) -> SetPartition:
 
     Coincides with conjugate on noncrossing partitions.
     """
-    k = kreweras_complement(p)  # checks that supp(p) = {1..n}
-    return _complement(k, sum(map(len, p.blocks)))
+    return _complement(kreweras_complement(p))  # which checks supp(p) = {1..n}
 
 
 def rotate_partition(p: SetPartition, shift: int) -> SetPartition:
@@ -126,8 +125,7 @@ def rotate_partition(p: SetPartition, shift: int) -> SetPartition:
     """
     if not p.blocks:
         return EMPTY
-    n = inferred_n(p)
-    return _rotate(_ranks_of(p, (n, True))[2], shift, _partition)
+    return _rotate(require_full_support(p, sum(map(len, p.blocks))), shift, _partition)
 
 
 def format_gaps(p: SetPartition) -> str:

@@ -15,6 +15,9 @@ functions are adapters that take a partition's view and build their
 result in one pass with _partition: from the keys a kernel gives (the
 transfer's roots, a reversed or rotated growth string) it makes blocks
 and their growth string, which it hands on as the result's view.
+The maps defined only on partitions of exactly [n] (cyclic adjacency
+mod n) take their input's growth string from require_full_support, the
+one check of that support; nothing passes a size past it.
 
 Text form: blocks joined by " - ", elements by single spaces; the empty
 partition is the empty string.
@@ -22,30 +25,11 @@ partition is the empty string.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidPartitionError, ParseError
-
-
-class _cached:
-    """functools.cached_property without its lock, which CPython 3.11
-    takes on every first read: the value goes into the instance dict,
-    where it shadows this non-data descriptor from then on.  Two threads
-    may both compute a first read; both store the same value."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 class _Frozen:
@@ -87,7 +71,7 @@ class SetPartition(_Frozen):
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "_view"}
 
-    @_cached
+    @cached_property
     def support(self) -> tuple[int, ...]:
         """All elements of the partition, increasing."""
         return tuple(sorted(x for blk in self.blocks for x in blk))
@@ -135,12 +119,12 @@ def support_size(blocks) -> tuple[int, bool]:
     return m, not m or max(map(_last, blocks)) == m
 
 
-def ranks(blocks, size=None):
+def ranks(blocks):
     """(m, labels, bid): the rank view of canonical blocks over a support
     of size m.  labels[r] is the element of rank r, 1 <= r <= m (None when
     the support is {1..m}, so a rank is its element), and bid[r] the index
-    of the block holding rank r.  size is support_size(blocks), if known."""
-    m, full = size or support_size(blocks)
+    of the block holding rank r."""
+    m, full = support_size(blocks)
     if full:
         bid = [0] * (m + 1)
         for i, blk in enumerate(blocks):
@@ -152,9 +136,9 @@ def ranks(blocks, size=None):
     return m, [0, *ranked], [0, *map(index.__getitem__, ranked)]
 
 
-def _ranks_of(p: SetPartition, size=None):
-    """The rank view of p: the one handed over, else ranks(p.blocks, size)."""
-    return p._view or ranks(p.blocks, size)
+def _ranks_of(p: SetPartition):
+    """The rank view of p: the one handed over, else ranks(p.blocks)."""
+    return p._view or ranks(p.blocks)
 
 
 def _renumber(keys) -> tuple[int, ...]:
@@ -250,14 +234,14 @@ def canonicalize(raw_blocks: Iterable[Iterable[int]]) -> SetPartition:
     return SetPartition(tuple(blocks))
 
 
-def require_full_support(p: SetPartition, n: int) -> None:
-    """Raise DomainError unless the support of p is exactly {1, ..., n}.
-    A handed-over view without labels says the support is 1..m."""
-    view = p._view
-    m, full = (view[0], True) if view and view[1] is None else support_size(p.blocks)
-    if n < 1 or m != n or not full:
+def require_full_support(p: SetPartition, n: int):
+    """The growth string of p, a partition of {1, ..., n}; DomainError
+    unless that is its support: n ranks whose labels, if any, end at n."""
+    m, labels, bid = _ranks_of(p)
+    if n < 1 or m != n or labels is not None and labels[-1] != n:
         got = format_partition(p) or "(empty)"
         raise DomainError(f"support of {got!r} is not 1..{n}")
+    return bid
 
 
 def inferred_n(p: SetPartition) -> int:
@@ -274,14 +258,13 @@ def complement(p: SetPartition, n: int) -> SetPartition:
     An involution; it reverses the cyclic order, so initiators and
     terminators trade places while singleton status is preserved.
     """
-    require_full_support(p, n)
-    return _complement(p, n)
+    return _relabel(require_full_support(p, n), _partition)
 
 
-def _complement(p: SetPartition, n: int) -> SetPartition:
-    """complement(p, n) without the support check, for a caller that has
-    checked the support of p."""
-    return _relabel(_ranks_of(p, (n, True))[2], _partition)
+def _complement(k: SetPartition) -> SetPartition:
+    """The complement of a Kreweras complement k, which carries the view
+    of a partition of [n] (or is empty): no support to check."""
+    return _relabel(_ranks_of(k)[2], _partition)
 
 
 def _relabel(g, build=_renumber):

@@ -196,9 +196,9 @@ def _core(core, bid, labels=None) -> SetPartition:
     return SetPartition(tuple(map(tuple, groups.values())))
 
 
-def _map(p: SetPartition, invert: bool, size=None):
+def _map(p: SetPartition, invert: bool):
     """The rank view of p and the roots of phi, or phi_inverse, on it."""
-    view = _ranks_of(p, size)
+    view = _ranks_of(p)
     bid = view[2]
     return view, _transfer(bid, _strip(bid, map(len, p.blocks), invert), invert)
 
@@ -299,6 +299,5 @@ def conjugate(p: SetPartition, n: int) -> SetPartition:
 
     Like phi it interchanges the singleton count with the adjacency count.
     """
-    require_full_support(p, n)
-    _, root = _map(p, False, (n, True))
-    return _relabel(root, _partition)
+    g = require_full_support(p, n)
+    return _relabel(_transfer(g, _strip(g, map(len, p.blocks), False), False), _partition)

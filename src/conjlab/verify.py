@@ -57,6 +57,7 @@ from .compositions import (
 from .enumeration import (
     COMP_N_MAX_HARD,
     N_MAX_HARD,
+    _asymmetric_pair,
     bell_number,
     catalan_number,
     iter_compositions,
@@ -403,7 +404,7 @@ def composition_sweep(n: int) -> dict:
             comps.append(c)
     if count != 2 ** (n - 1):
         _fail(fails, "enum-composition-count", f"n={n} count={count}")
-    if n >= 2 and any(dist.get((t, s), 0) != v for (s, t), v in dist.items()):
+    if n >= 2 and _asymmetric_pair(dist) is not None:
         _fail(fails, "mu-nu-distribution-symmetric", f"n={n}")
     if n <= PALINDROME_CAP:
         ordered = sorted(comps, key=sort_rank)
@@ -680,7 +681,7 @@ def verify_suite(n_max: int = 10, comp_n_max: int = 16, jobs: int = 1) -> Verify
                 fails, "phi-injective-image", f"n={n} image={len(agg['image'])} of {agg['count']}"
             )
         dist = agg["dist"]
-        asym = next(((s, t) for (s, t), v in sorted(dist.items()) if dist[t, s] != v), None)
+        asym = _asymmetric_pair(dist)
         if asym is not None:
             _fail(
                 fails,

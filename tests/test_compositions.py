@@ -134,6 +134,13 @@ class TestCompositionType:
             Composition(parts)
         assert str(err.value) == message
 
+    def test_int_subclass_part_accepted(self):
+        class Part(int):
+            pass
+
+        c = Composition((Part(2), 1))
+        assert c == C((2, 1)) and c.n == 3
+
     def test_n_and_str(self):
         c = C((2, 1, 2, 3))
         assert c.n == 8

@@ -19,7 +19,7 @@ from conjlab import (
     parse_partition,
     random_partition,
 )
-from conjlab.enumeration import iter_rgs, rgs_prefixes
+from conjlab.enumeration import _asymmetric_pair, iter_rgs, rgs_prefixes
 
 # Frozen reference values (partition and noncrossing-partition counts).
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
@@ -245,6 +245,27 @@ class TestDistributions:
 
     def test_symmetry_detector_sees_asymmetry(self):
         assert not DistributionTable(2, PAIR_SING_ADJ, {(0, 1): 1}).is_symmetric()
+
+    def test_asymmetric_pair_is_the_least(self):
+        counts = {(0, 1): 2, (1, 0): 2, (3, 0): 1, (1, 2): 3, (2, 1): 1, (2, 2): 5}
+        assert _asymmetric_pair(counts) == (1, 2)
+        del counts[1, 2], counts[2, 1]
+        assert _asymmetric_pair(counts) == (3, 0)  # (0, 3) is missing: it counts 0
+        assert _asymmetric_pair({(4, 1): 0}) is None
+        assert _asymmetric_pair({}) is None
+
+    @pytest.mark.parametrize("pair", [PAIR_SING_ADJ, PAIR_MU_NU])
+    def test_asymmetric_pair_agrees_with_is_symmetric(self, pair):
+        verdicts = []
+        for n in range(0 if pair == PAIR_SING_ADJ else 1, 9):
+            table = distribution(n, pair)
+            counts = table.counts
+            odd = [k for k, v in counts.items() if counts.get(k[::-1], 0) != v]
+            assert _asymmetric_pair(counts) == min(odd, default=None)
+            assert (not odd) == table.is_symmetric()
+            verdicts.append(not odd)
+        # mu-nu at n = 1 is the one asymmetric table: {(0, 1): 1}.
+        assert verdicts.count(False) == (pair == PAIR_MU_NU)
 
 
 class TestAdjacencyFreeCounts:

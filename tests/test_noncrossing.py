@@ -8,6 +8,7 @@ from conjlab import (
     SetPartition,
     canonicalize,
     catalan_number,
+    complement,
     conjugate,
     find_crossing,
     format_gaps,
@@ -54,6 +55,27 @@ def interleaved_ok(p: SetPartition, gaps: SetPartition) -> bool:
     blocks = [tuple(2 * x - 1 for x in blk) for blk in p.blocks]
     blocks += [tuple(2 * x for x in blk) for blk in gaps.blocks]
     return not naive_is_crossing(blocks)
+
+
+def kreweras_oracle(p: SetPartition, n: int) -> SetPartition:
+    """The coarsest gap partition that interleaves with the noncrossing p
+    without crossings: gaps i and j share its block exactly when the gap
+    partition with {i, j} as its one non-singleton block interleaves too
+    (it does when it refines the coarsest; see
+    test_is_the_coarsest_compatible_gap_partition)."""
+    classes: list[list[int]] = []
+    for j in range(1, n + 1):
+        for cls in classes:
+            if interleaved_ok(p, SetPartition(((cls[0], j),))):
+                cls.append(j)
+                break
+        else:
+            classes.append([j])
+    return canonicalize(classes)
+
+
+def relabelled(p: SetPartition, f) -> SetPartition:
+    return canonicalize([f(x) for x in blk] for blk in p.blocks)
 
 
 class TestCrossingDetection:
@@ -259,3 +281,55 @@ class TestUnionWithComplement:
                 merged = kblocks[:i] + kblocks[i + 1 : j] + kblocks[j + 1 :]
                 merged.append(tuple(sorted(kblocks[i] + kblocks[j])))
                 assert not interleaved_ok(p, canonicalize(merged))
+
+
+FULL_SUPPORT_MAPS = {
+    "complement": complement,
+    "conjugate": conjugate,
+    "kreweras_complement": lambda p, n: kreweras_complement(p),
+    "rotate_partition": lambda p, n: rotate_partition(p, 2),
+    "graphical_conjugate": lambda p, n: graphical_conjugate(p),
+}
+
+
+def outcome(call, p, n):
+    """The blocks that call(p, n) returns, or the text of its DomainError."""
+    try:
+        return call(p, n).blocks
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+class TestFullSupportMaps:
+    """The maps defined on partitions of exactly [n] give a partition with
+    a view and a bare copy of it the same result or the same error text,
+    and equal oracles that relabel blocks by hand."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_viewed_and_bare_agree_with_the_oracles(self, n):
+        def flip(q):
+            return relabelled(q, lambda x: n + 1 - x)
+
+        for p in all_partitions(n):
+            bare = SetPartition(p.blocks)
+            assert p._view is not None and bare._view is None
+            if naive_is_crossing(p.blocks):
+                k = gc = f"DomainError: partition is crossing: quadruple {find_crossing(bare)}"
+            else:
+                oracle = kreweras_oracle(p, n)
+                k, gc = oracle.blocks, flip(oracle).blocks
+            want = {
+                "complement": flip(p).blocks,
+                "conjugate": flip(phi(bare)).blocks,
+                "kreweras_complement": k,
+                "rotate_partition": relabelled(p, lambda x: (x + 1) % n + 1).blocks,
+                "graphical_conjugate": gc,
+            }
+            for name, call in FULL_SUPPORT_MAPS.items():
+                got = outcome(call, p, n)
+                assert got == outcome(call, bare, n) == want[name], (name, str(p))
+            for call in (complement, conjugate):
+                got = outcome(call, p, n + 1)
+                assert got == outcome(call, bare, n + 1) == (
+                    f"DomainError: support of {str(p)!r} is not 1..{n + 1}"
+                )

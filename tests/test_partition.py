@@ -88,8 +88,8 @@ class TestCanonicalForm:
     def test_support_is_computed_once(self, monkeypatch):
         calls = []
         cache = vars(SetPartition)["support"]
-        inner = cache.fn
-        monkeypatch.setattr(cache, "fn", lambda p: calls.append(p) or inner(p))
+        inner = cache.func
+        monkeypatch.setattr(cache, "func", lambda p: calls.append(p) or inner(p))
         p = parse_partition("3 - 1 2")
         assert p.support is p.support == (1, 2, 3)
         assert calls == [p]

@@ -193,6 +193,20 @@ FULL_SUPPORT_MAPS = {
 }
 
 
+@pytest.mark.parametrize("name", FULL_SUPPORT_MAPS)
+def test_a_bare_partition_of_n_is_ranked_once(monkeypatch, name):
+    # The support check hands the map the growth string it has just built.
+    calls = []
+    inner = partition.ranks
+    monkeypatch.setattr(partition, "ranks", lambda blocks: calls.append(blocks) or inner(blocks))
+    for n in range(1, 6):
+        for p in iter_set_partitions(n):
+            if noncrossing.is_noncrossing(p):
+                calls.clear()
+                FULL_SUPPORT_MAPS[name](SetPartition(p.blocks), n)
+                assert calls == [p.blocks], (name, str(p))
+
+
 def viewed_inputs():
     """Partitions with a handed-over view: of [m] from the enumeration and
     from phi, with labels over sparse supports, and built by hand with

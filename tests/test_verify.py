@@ -284,7 +284,7 @@ class TestArrayShard:
     OBJECT_MAPS = (
         "phi",
         "phi_inverse",
-        "_phi_and_core",
+        "_map",
         "_complement",
         "complement",
         "conjugate",
