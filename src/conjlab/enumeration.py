@@ -7,7 +7,11 @@ shards cover the whole space exactly once and can run concurrently.
 Each partition carries its growth string, the form the partition kernels
 work on, as the rank view (n, None, (0, a_1, ..., a_n)) of its blocks.
 Lex order changes only a tail of the string (Knuth, TAOCP 4A, 7.2.1.5),
-so consecutive partitions share the tuples of the blocks it leaves alone.
+so a step rebuilds only the blocks of the elements it moves.  For
+n <= N_MAX_HARD each rebuilt block comes from partition._BLOCKS, so all
+partitions of [n] share one tuple per block, with the map results over
+[n] too; beyond it consecutive partitions share the blocks a step leaves
+alone.
 """
 
 from __future__ import annotations
@@ -16,11 +20,19 @@ import math
 from typing import Iterable, Iterator, NamedTuple
 
 from .compositions import Composition, _composition, mu, nu
-from .partition import EMPTY, SetPartition, _viewed, adjacency_profile, canonicalize
+from .partition import (
+    EMPTY,
+    N_MAX_HARD,
+    SetPartition,
+    _share,
+    _viewed,
+    adjacency_profile,
+    canonicalize,
+)
 
-# Largest n of an exhaustive sweep, in conjlab verify and conjlab
-# enumerate: B(12) = 4,213,597 partitions of [12], 2^19 compositions of 20.
-N_MAX_HARD = 12
+# Largest n of an exhaustive composition sweep, in conjlab verify and
+# conjlab enumerate: 2^19 compositions of 20.  N_MAX_HARD bounds the
+# partition sweeps.
 COMP_N_MAX_HARD = 20
 
 
@@ -106,30 +118,40 @@ def iter_set_partitions(
 ) -> Iterator[SetPartition]:
     """All partitions of {1..n} (restricted to a growth-string prefix if given).
 
-    Follows the growth strings of iter_rgs in the same order, moving only
-    the elements whose letters changed: those are the largest elements,
-    so each sits at the end of its block.  A block is a tuple, rebuilt
-    only when an element leaves or joins it, and otherwise shared.
+    Follows the growth strings of iter_rgs in the same order.  After the
+    first, a string raises letter i by one and resets the letters after it
+    to 0; those were at their maxima, so elements i + 2..n each sat alone
+    in one of the last blocks.  So a step drops those blocks, moves element
+    i + 1 from the end of block a[i] - 1 to the end of block a[i], and
+    appends elements i + 2..n to block 0.  A block is a tuple, rebuilt
+    only when an element leaves or joins it, and otherwise shared.  For
+    n <= N_MAX_HARD every block comes from partition._BLOCKS, so all
+    partitions of [n] share one tuple per block; for larger n the lookup
+    is a dict that stays empty.
     """
     _check_prefix(n, prefix)
     if n == 0:
         yield EMPTY
         return
-    blocks: list[tuple[int, ...]] = []
-    held = [0] * n  # held[j]: the block element j + 1 sits in
-    for a, i in _rgs_walk(n, prefix):
-        if blocks:  # element 1 never moves, so blocks[0] never empties
-            for j in range(n - 1, i - 1, -1):
-                b = held[j]
-                blocks[b] = blocks[b][:-1]
-            while not blocks[-1]:
-                blocks.pop()
-        for j in range(i, n):
-            letter = held[j] = a[j]
-            if letter == len(blocks):
-                blocks.append((j + 1,))
-            else:
-                blocks[letter] += (j + 1,)
+    # For n > N_MAX_HARD, {}.get(blk, blk) is blk: the blocks stay unshared.
+    share = _share if n <= N_MAX_HARD else {}.get
+    walk = _rgs_walk(n, prefix)
+    a, _ = next(walk)
+    blocks = [tuple(x for x, b in enumerate(a, 1) if b == k) for k in range(max(a) + 1)]
+    blocks = [share(blk, blk) for blk in blocks]
+    yield _viewed(tuple(blocks), (n, None, (0, *a)))
+    elements = tuple(range(1, n + 1))
+    for a, i in walk:
+        del blocks[len(blocks) + i + 1 - n :]
+        c = a[i]
+        if c == len(blocks):
+            blocks.append(())
+        blk = blocks[c - 1][:-1]
+        blocks[c - 1] = share(blk, blk)
+        blk = blocks[c] + (i + 1,)
+        blocks[c] = share(blk, blk)
+        blk = blocks[0] + elements[i + 1 :]
+        blocks[0] = share(blk, blk)
         yield _viewed(tuple(blocks), (n, None, (0, *a)))
 
 

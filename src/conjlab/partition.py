@@ -19,6 +19,16 @@ The maps defined only on partitions of exactly [n] (cyclic adjacency
 mod n) take their input's growth string from require_full_support, the
 one check of that support; nothing passes a size past it.
 
+Every block tuple of a partition of [m], m <= N_MAX_HARD, that the
+library builds without labels is the one entry of _BLOCKS equal to it:
+_shared makes the blocks of _partition's results and of phi's core, and
+the enumeration of [n] looks up each block it rebuilds.  So results kept
+over an exhaustive sweep share one tuple per block.  _BLOCKS maps each
+such block to itself and holds at most 2^12 - 1 = 4,095 entries, the
+nonempty subsets of [12], in about 0.5 MB when full.  Labelled supports,
+m > N_MAX_HARD, and the partitions of canonicalize and parse_partition
+build their own tuples.
+
 Text form: blocks joined by " - ", elements by single spaces; the empty
 partition is the empty string.
 """
@@ -30,6 +40,16 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidPartitionError, ParseError
+
+# Largest n of an exhaustive sweep (B(12) = 4,213,597 partitions of [12]),
+# and of the supports [n] whose blocks _BLOCKS shares.
+N_MAX_HARD = 12
+
+# Each block over [m], m <= N_MAX_HARD, that the library has built, keyed
+# by itself: _share(blk, blk) is the one tuple equal to blk.  Only _shared
+# and the enumeration of [n], n <= N_MAX_HARD, add to it.
+_BLOCKS: dict[tuple[int, ...], tuple[int, ...]] = {}
+_share = _BLOCKS.setdefault
 
 
 class _Frozen:
@@ -159,7 +179,8 @@ def _renumber(keys) -> tuple[int, ...]:
 def _partition(keys, labels=None) -> SetPartition:
     """The partition whose blocks are the ranks with equal keys, read
     through labels (None: rank r is r), keys as for _renumber; it carries
-    (m, labels, g) as its view, g = _renumber(keys) made in the same pass."""
+    (m, labels, g) as its view, g = _renumber(keys) made in the same pass.
+    Without labels its blocks are _shared."""
     new = [-1] * (len(keys) + 1)
     blocks: list[list[int]] = []
     g = [0]
@@ -173,9 +194,18 @@ def _partition(keys, labels=None) -> SetPartition:
         else:
             blocks[b].append(r)
         g.append(b)
-    if labels is not None:
-        blocks = [map(labels.__getitem__, blk) for blk in blocks]
-    return _viewed(tuple(map(tuple, blocks)), (len(keys), labels, tuple(g)))
+    view = (r, labels, tuple(g))
+    if labels is None:
+        return _viewed(_shared(map(tuple, blocks), r), view)
+    return _viewed(tuple([tuple(map(labels.__getitem__, blk)) for blk in blocks]), view)
+
+
+def _shared(blocks, m: int) -> tuple[tuple[int, ...], ...]:
+    """The block tuples blocks of a partition of [m] as one tuple, each
+    the entry of _BLOCKS equal to it when m <= N_MAX_HARD."""
+    if m > N_MAX_HARD:
+        return tuple(blocks)
+    return tuple([_share(b, b) for b in blocks])
 
 
 def _profile(bid, sizes) -> tuple[list[int], list[int], list[int]]:

@@ -38,6 +38,7 @@ from .partition import (
     _partition,
     _relabel,
     _renumber,
+    _shared,
     require_full_support,
 )
 from .separate import ROLE_ST, SeparationRecord, combine_st, separate_is
@@ -189,11 +190,12 @@ def _phi_growth(bid, sizes, invert: bool = False):
 
 def _core(core, bid, labels=None) -> SetPartition:
     """The core blocks of a forward strip: its core ranks, which it lists
-    increasing, by block of bid."""
+    increasing, by block of bid; _shared without labels."""
     groups: dict[int, list[int]] = {}
     for r in core:
         groups.setdefault(bid[r], []).append(r if labels is None else labels[r])
-    return SetPartition(tuple(map(tuple, groups.values())))
+    blocks = map(tuple, groups.values())
+    return SetPartition(_shared(blocks, len(bid) - 1) if labels is None else tuple(blocks))
 
 
 def _map(p: SetPartition, invert: bool):

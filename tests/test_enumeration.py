@@ -111,7 +111,20 @@ class TestSharedBlockTuples:
     """Consecutive partitions share the tuples of the blocks whose
     letters did not change."""
 
-    SHARDS = [(n, ()) for n in range(1, 10)] + [(9, pre) for pre in rgs_prefixes(9, 4)]
+    # Past N_MAX_HARD the step is the same, without the shared table: a
+    # few shards of n = 13..15 with long prefixes, so that each is small.
+    SHARDS = (
+        [(n, ()) for n in range(1, 10)]
+        + [(9, pre) for pre in rgs_prefixes(9, 4)]
+        + [
+            (13, (0,) * 9),
+            (13, (0, 1, 0, 2, 3, 3, 0, 4, 2)),
+            (13, tuple(range(9))),
+            (14, (0, 1, 1, 0, 0, 2, 2, 2, 3, 2)),
+            (15, (0,) * 12),
+            (15, tuple(range(12))),
+        ]
+    )
 
     def test_blocks_and_views_match_a_fresh_build(self):
         for n, prefix in self.SHARDS:
