@@ -5,13 +5,14 @@ Set partitions of {1..n} are generated one per restricted growth string
 enumeration splits into independent sub-ranges by fixing a prefix; the
 shards cover the whole space exactly once and can run concurrently.
 Each partition carries its growth string, the form the partition kernels
-work on, as the rank view (n, None, (0, a_1, ..., a_n)) of its blocks.
-Lex order changes only a tail of the string (Knuth, TAOCP 4A, 7.2.1.5),
-so a step rebuilds only the blocks of the elements it moves.  For
-n <= N_MAX_HARD each rebuilt block comes from partition._BLOCKS, so all
-partitions of [n] share one tuple per block, with the map results over
-[n] too; beyond it consecutive partitions share the blocks a step leaves
-alone.
+work on, as its rank view (n, None, (0, a_1, ..., a_n)), and its block
+sizes.  Lex order changes only a tail of the string (Knuth, TAOCP 4A,
+7.2.1.5), so a step updates only the sizes and masks of the blocks whose
+elements it moves.  For n <= N_MAX_HARD a partition builds its blocks
+only when they are read, each from partition._BLOCKS, so all partitions
+of [n] share one tuple per block, with the map results over [n] too;
+beyond it the walk builds blocks as it goes, and consecutive partitions
+share the blocks a step leaves alone.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .partition import (
     EMPTY,
     N_MAX_HARD,
     SetPartition,
-    _share,
-    _viewed,
+    _lazy,
     adjacency_profile,
     canonicalize,
 )
@@ -122,43 +122,47 @@ def iter_set_partitions(
     first, a string raises letter i by one and resets the letters after it
     to 0; those were at their maxima, so elements i + 2..n each sat alone
     in one of the last blocks.  So a step drops those blocks, moves element
-    i + 1 from the end of block a[i] - 1 to the end of block a[i], and
-    appends elements i + 2..n to block 0.  A block is a tuple, rebuilt
-    only when an element leaves or joins it, and otherwise shared.  For
-    n <= N_MAX_HARD every block comes from partition._BLOCKS, so all
-    partitions of [n] share one tuple per block; for larger n the lookup
-    is a dict that stays empty.
+    i + 1 from block a[i] - 1 to block a[i], and adds elements i + 2..n to
+    block 0: it updates the block sizes and masks so.  For n <=
+    N_MAX_HARD a partition builds its blocks from its masks when they are
+    read.  Beyond it each partition's blocks are built at once, and the
+    tuples of the blocks a step leaves alone are the previous ones.
     """
     _check_prefix(n, prefix)
     if n == 0:
         yield EMPTY
         return
-    # For n > N_MAX_HARD, {}.get(blk, blk) is blk: the blocks stay unshared.
-    share = _share if n <= N_MAX_HARD else {}.get
-    walk = _rgs_walk(n, prefix)
-    a, _ = next(walk)
-    blocks = [tuple(x for x, b in enumerate(a, 1) if b == k) for k in range(max(a) + 1)]
-    blocks = [share(blk, blk) for blk in blocks]
-    yield _viewed(tuple(blocks), (n, None, (0, *a)))
-    elements = tuple(range(1, n + 1))
-    for a, i in walk:
-        del blocks[len(blocks) + i + 1 - n :]
-        c = a[i]
-        if c == len(blocks):
-            blocks.append(())
-        blk = blocks[c - 1][:-1]
-        blocks[c - 1] = share(blk, blk)
-        blk = blocks[c] + (i + 1,)
-        blocks[c] = share(blk, blk)
-        blk = blocks[0] + elements[i + 1 :]
-        blocks[0] = share(blk, blk)
-        yield _viewed(tuple(blocks), (n, None, (0, *a)))
+    sizes: list[int] = []
+    masks: list[int] = []
+    shared: dict = {}
+    for a, i in _rgs_walk(n, prefix):
+        if not sizes:  # the first string
+            sizes = [a.count(k) for k in range(max(a) + 1)]
+            masks = [sum(1 << x for x, b in enumerate(a, 1) if b == k) for k in range(len(sizes))]
+        else:
+            j = len(sizes) + i + 1 - n  # the blocks of elements i + 2..n
+            del sizes[j:], masks[j:]
+            c = a[i]
+            if c == j:
+                sizes.append(0)
+                masks.append(0)
+            sizes[c - 1] -= 1
+            sizes[c] += 1
+            sizes[0] += n - i - 1
+            masks[c - 1] -= 2 << i
+            masks[c] += 2 << i
+            masks[0] += (2 << n) - (4 << i)  # the bits of i + 2..n
+        p = _lazy((n, None, (0, *a)), sizes[:], masks[:] if n <= N_MAX_HARD else None)
+        if n > N_MAX_HARD:  # blocks built now, sharing the tuples of those the step left alone
+            blocks = p.__dict__["blocks"] = tuple([shared.get(b, b) for b in p.blocks])
+            shared = dict(zip(blocks, blocks))
+        yield p
 
 
 def iter_set_partitions_of(elements: Iterable[int]) -> Iterator[SetPartition]:
     """All partitions of an arbitrary support: distinct positive integers,
     else InvalidPartitionError before the first partition.  Each carries
-    its rank view."""
+    its rank view and block sizes, and builds its blocks when read."""
     support = canonicalize([x] for x in elements).support
     m = len(support)
     if not m or support[-1] == m:
@@ -166,8 +170,7 @@ def iter_set_partitions_of(elements: Iterable[int]) -> Iterator[SetPartition]:
         return
     labels = [0, *support]
     for p in iter_set_partitions(m):
-        blocks = tuple(tuple([labels[x] for x in blk]) for blk in p.blocks)
-        yield _viewed(blocks, (m, labels, p._view[2]))
+        yield _lazy((m, labels, p._view[2]), p._sizes)
 
 
 def random_partition(elements: Iterable[int], rng) -> SetPartition:
@@ -254,6 +257,6 @@ def count_adjacency_free(n: int, k: int) -> int:
     """
     total = 0
     for p in iter_set_partitions(n):
-        if len(p.blocks) == k and adjacency_profile(p).adjacency_count == 0:
+        if len(p._sizes) == k and adjacency_profile(p).adjacency_count == 0:
             total += 1
     return total

@@ -13,7 +13,9 @@ over it: block polygons of a noncrossing partition nest, so the open
 blocks at any point of the scan form a stack, and each gap lands in the
 pocket of the innermost open block (or in the shared outer region).  A
 rank that continues a block below the top of the stack is a crossing, so
-the complement checks its input in the same scan.
+the complement checks its input in the same scan.  The adapters read a
+partition's rank view and block sizes, never its blocks, and their
+results build blocks only when read.
 """
 
 from __future__ import annotations
@@ -73,22 +75,22 @@ def _rotate(g, shift: int, build=_renumber):
 def find_crossing(p: SetPartition):
     """A witness quadruple (a, b, c, d) with a, c and b, d in two crossing
     blocks, or None when p is noncrossing."""
-    blocks = p.blocks
-    if len(blocks) < 2:
+    sizes = p._sizes
+    if len(sizes) < 2:
         return None
     _, labels, bid = _ranks_of(p)
-    hit = _scan(bid, map(len, blocks))
+    hit = _scan(bid, sizes)
     if hit is None:
         return None
     a, c, t = hit
-    if labels is not None:
-        a, c = labels[a], labels[c]
-    return (a, blocks[t][0], c, blocks[t][-1])
+    quad = (a, bid.index(t), c, len(bid) - 1 - bid[::-1].index(t))  # b, d: block t's ends
+    return quad if labels is None else tuple(map(labels.__getitem__, quad))
 
 
 def is_noncrossing(p: SetPartition) -> bool:
     """True when no two blocks interleave."""
-    return len(p.blocks) < 2 or _scan(_ranks_of(p)[2], map(len, p.blocks)) is None
+    sizes = p._sizes
+    return len(sizes) < 2 or _scan(_ranks_of(p)[2], sizes) is None
 
 
 def kreweras_complement(p: SetPartition) -> SetPartition:
@@ -100,11 +102,10 @@ def kreweras_complement(p: SetPartition) -> SetPartition:
     equals phi(p), an independent computation that the tests and verify
     check it against.
     """
-    blocks = p.blocks
-    if not blocks:
+    sizes = p._sizes
+    if not sizes:
         return EMPTY
-    g = require_full_support(p, sum(map(len, blocks)))
-    k = _kreweras(g, map(len, blocks), _partition)
+    k = _kreweras(require_full_support(p, sum(sizes)), sizes, _partition)
     if k is None:
         raise DomainError(f"partition is crossing: quadruple {find_crossing(p)}")
     return k
@@ -123,9 +124,10 @@ def rotate_partition(p: SetPartition, shift: int) -> SetPartition:
 
     Applying the Kreweras complement twice equals rotate_partition(p, -1).
     """
-    if not p.blocks:
+    sizes = p._sizes
+    if not sizes:
         return EMPTY
-    return _rotate(require_full_support(p, sum(map(len, p.blocks))), shift, _partition)
+    return _rotate(require_full_support(p, sum(sizes)), shift, _partition)
 
 
 def format_gaps(p: SetPartition) -> str:

@@ -7,27 +7,24 @@ wraps around to the smallest, so a one-element support has succ(a) = a
 and the lone element counts as one adjacency.
 
 Only the order of the support matters to adjacencies, crossings and the
-strip of phi, so their kernels work on the rank view (m, labels, bid)
-of ranks(): bid[r] is the block of rank r, blocks numbered by least
-element, so bid is the restricted growth string of a partition of [m]
-(after a pad).  The kernels take and return growth strings; the public
-functions are adapters that take a partition's view and build their
-result in one pass with _partition: from the keys a kernel gives (the
-transfer's roots, a reversed or rotated growth string) it makes blocks
-and their growth string, which it hands on as the result's view.
-The maps defined only on partitions of exactly [n] (cyclic adjacency
-mod n) take their input's growth string from require_full_support, the
-one check of that support; nothing passes a size past it.
+strip of phi, so their kernels work on the rank view (m, labels, g) of
+ranks(): g[r] is the block of rank r, blocks numbered by least element,
+so g is the restricted growth string of a partition of [m] (after a
+pad).  A SetPartition keeps the form it was built in, its blocks or its
+view with block sizes, and builds the other on first read.  The readers
+here and in phi and noncrossing take the view and the sizes, never the
+blocks; the public maps build their result with _partition from the
+keys a kernel gives (the transfer's roots, a reversed or rotated growth
+string), renumbered by _grow, the one builder.  The maps defined only on
+partitions of exactly [n] take their input's growth string from
+require_full_support, the one check of that support.
 
 Every block tuple of a partition of [m], m <= N_MAX_HARD, that the
-library builds without labels is the one entry of _BLOCKS equal to it:
-_shared makes the blocks of _partition's results and of phi's core, and
-the enumeration of [n] looks up each block it rebuilds.  So results kept
-over an exhaustive sweep share one tuple per block.  _BLOCKS maps each
-such block to itself and holds at most 2^12 - 1 = 4,095 entries, the
-nonempty subsets of [12], in about 0.5 MB when full.  Labelled supports,
-m > N_MAX_HARD, and the partitions of canonicalize and parse_partition
-build their own tuples.
+library builds without labels is the one entry of _BLOCKS equal to it,
+looked up by its mask of ranks in _BY_MASK (or shared by phi's core), so
+results kept over an exhaustive sweep share one tuple per block.
+_BLOCKS holds at most 2^12 - 1 = 4,095 entries, the nonempty subsets of
+[12], in about 0.5 MB when full.
 
 Text form: blocks joined by " - ", elements by single spaces; the empty
 partition is the empty string.
@@ -35,7 +32,6 @@ partition is the empty string.
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -46,10 +42,62 @@ from .errors import DomainError, InvalidPartitionError, ParseError
 N_MAX_HARD = 12
 
 # Each block over [m], m <= N_MAX_HARD, that the library has built, keyed
-# by itself: _share(blk, blk) is the one tuple equal to blk.  Only _shared
-# and the enumeration of [n], n <= N_MAX_HARD, add to it.
+# by itself: _share(blk, blk) is the one tuple equal to blk.
 _BLOCKS: dict[tuple[int, ...], tuple[int, ...]] = {}
 _share = _BLOCKS.setdefault
+
+# The mask of a block of ranks is the sum of _BITS[r] over its ranks r;
+# the pad of a growth string, rank 0, adds nothing.
+_BITS = (0, *(1 << r for r in range(1, N_MAX_HARD + 1)))
+
+
+class _ByMask(dict):
+    """The entry of _BLOCKS for each block over [m], m <= N_MAX_HARD, by
+    its mask; a mask is added on its first lookup."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        blk = tuple([r for r in range(1, mask.bit_length()) if mask >> r & 1])
+        blk = self[mask] = _share(blk, blk)
+        return blk
+
+
+_BY_MASK = _ByMask()
+
+
+class _Kept:
+    """An attribute that func makes on its first read; the object keeps it."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
+
+
+class _Blocks:
+    """SetPartition.blocks of a partition built from its view, made on first
+    read and kept.  Over [m], m <= N_MAX_HARD, they are the _BY_MASK entries
+    of the block masks, handed over by the enumeration or read from g."""
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            return self
+        m, labels, g = p._view
+        masks = p._masks
+        if masks is None and labels is None and 0 < m <= N_MAX_HARD:
+            masks = [0] * len(p._sizes)
+            for bit, b in zip(_BITS, g):
+                masks[b] += bit
+        if masks is not None:
+            blocks = p.__dict__["blocks"] = tuple(map(_BY_MASK.__getitem__, masks))
+            return blocks
+        lists: list[list[int]] = [[] for _ in p._sizes]
+        ranked = zip(labels or range(m + 1), g)
+        next(ranked)  # the pad
+        for x, b in ranked:
+            lists[b].append(x)
+        blocks = p.__dict__["blocks"] = tuple(map(tuple, lists))
+        return blocks
 
 
 class _Frozen:
@@ -78,23 +126,43 @@ class SetPartition(_Frozen):
 
     Construct through canonicalize() or parse_partition() unless the block
     data is already canonical (sorted within blocks, blocks sorted by
-    minimum, pairwise disjoint).  _view is a rank view handed over with
-    the blocks, if any; it stays out of equality, hash, repr and pickles.
+    minimum, pairwise disjoint).  _view is the rank view (m, labels, g)
+    the partition was built from or has been ranked to, or None, and
+    _sizes its block sizes; they stay out of hash, repr and pickles.
     """
 
     _field = "blocks"
-    _view = None
+    _view = _masks = None
+    blocks = _Blocks()
 
     def __init__(self, blocks: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "blocks", blocks)
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_view"}
+    @_Kept
+    def _sizes(self) -> list[int]:
+        return [*map(len, self.blocks)]
 
-    @cached_property
+    @_Kept
     def support(self) -> tuple[int, ...]:
         """All elements of the partition, increasing."""
-        return tuple(sorted(x for blk in self.blocks for x in blk))
+        if self._view is None:
+            return tuple(sorted(x for blk in self.blocks for x in blk))
+        m, labels, _ = self._view
+        return tuple(range(1, m + 1)) if labels is None else tuple(labels[1:])
+
+    def __eq__(self, other):
+        if other.__class__ is not SetPartition:
+            return NotImplemented
+        # Views over the same labels (or none) are equal when their growth strings are.
+        a, b = self._view, other._view
+        if a is None or b is None or (a[1] is None) != (b[1] is None):
+            return self.blocks == other.blocks
+        return a[2] == b[2] and (a[1] is None or a[1][1:] == b[1][1:])
+
+    __hash__ = _Frozen.__hash__
+
+    def __getstate__(self):  # the __dict__ of a partition built from blocks
+        return {"blocks": self.blocks, **{k: v for k, v in vars(self).items() if k == "support"}}
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -105,10 +173,12 @@ EMPTY = SetPartition(())
 _new = object.__new__
 
 
-def _viewed(blocks, view) -> SetPartition:
-    """SetPartition(blocks) carrying the rank view view of its blocks."""
+def _lazy(view, sizes, masks=None) -> SetPartition:
+    """The partition with rank view view, block sizes sizes and block
+    masks masks (None: unknown); it builds its blocks when they are read."""
     p = _new(SetPartition)
-    p.__dict__["blocks"], p.__dict__["_view"] = blocks, view
+    d = p.__dict__
+    d["_view"], d["_sizes"], d["_masks"] = view, sizes, masks
     return p
 
 
@@ -127,6 +197,7 @@ class AdjacencyProfile(NamedTuple):
 
 
 _EMPTY_PROFILE = AdjacencyProfile(frozenset(), frozenset(), frozenset(), 0)
+_tuple_new = tuple.__new__  # builds a profile without the Python-level __new__
 
 _last = itemgetter(-1)
 
@@ -157,55 +228,41 @@ def ranks(blocks):
 
 
 def _ranks_of(p: SetPartition):
-    """The rank view of p: the one handed over, else ranks(p.blocks)."""
-    return p._view or ranks(p.blocks)
+    """The rank view of p, which p keeps once ranks(p.blocks) has made it."""
+    if p._view is None:
+        m, labels, bid = ranks(p.blocks)
+        p.__dict__["_view"] = (m, labels, tuple(bid))
+    return p._view
+
+
+def _grow(keys) -> tuple[tuple[int, ...], list[int]]:
+    """(g, sizes): the growth string of the partition of [m] whose blocks
+    are the ranks with equal keys, keys[r - 1] in 0..m the key of rank r,
+    and its block sizes, in one pass."""
+    new = [-1] * (len(keys) + 1)
+    g = [0]
+    sizes: list[int] = []
+    for k in keys:
+        b = new[k]
+        if b < 0:
+            b = new[k] = len(sizes)
+            sizes.append(1)
+        else:
+            sizes[b] += 1
+        g.append(b)
+    return tuple(g), sizes
 
 
 def _renumber(keys) -> tuple[int, ...]:
-    """The growth string of the partition of [m] whose blocks are the ranks
-    with equal keys, keys[r - 1] in 0..m the key of rank r."""
-    new = [-1] * (len(keys) + 1)
-    out = [0]
-    fresh = 0
-    for k in keys:
-        b = new[k]
-        if b < 0:
-            b = new[k] = fresh
-            fresh += 1
-        out.append(b)
-    return tuple(out)
+    """The growth string of _grow(keys)."""
+    return _grow(keys)[0]
 
 
 def _partition(keys, labels=None) -> SetPartition:
-    """The partition whose blocks are the ranks with equal keys, read
-    through labels (None: rank r is r), keys as for _renumber; it carries
-    (m, labels, g) as its view, g = _renumber(keys) made in the same pass.
-    Without labels its blocks are _shared."""
-    new = [-1] * (len(keys) + 1)
-    blocks: list[list[int]] = []
-    g = [0]
-    r = 0
-    for k in keys:
-        r += 1
-        b = new[k]
-        if b < 0:
-            b = new[k] = len(blocks)
-            blocks.append([r])
-        else:
-            blocks[b].append(r)
-        g.append(b)
-    view = (r, labels, tuple(g))
-    if labels is None:
-        return _viewed(_shared(map(tuple, blocks), r), view)
-    return _viewed(tuple([tuple(map(labels.__getitem__, blk)) for blk in blocks]), view)
-
-
-def _shared(blocks, m: int) -> tuple[tuple[int, ...], ...]:
-    """The block tuples blocks of a partition of [m] as one tuple, each
-    the entry of _BLOCKS equal to it when m <= N_MAX_HARD."""
-    if m > N_MAX_HARD:
-        return tuple(blocks)
-    return tuple([_share(b, b) for b in blocks])
+    """The partition of _grow(keys), its ranks read through labels (None:
+    rank r is r); it builds its blocks when they are read."""
+    g, sizes = _grow(keys)
+    return _lazy((len(keys), labels, g), sizes)
 
 
 def _profile(bid, sizes) -> tuple[list[int], list[int], list[int]]:
@@ -233,16 +290,16 @@ def _profile(bid, sizes) -> tuple[list[int], list[int], list[int]]:
 
 def adjacency_profile(p: SetPartition) -> AdjacencyProfile:
     """Pair each element with its cyclic successor: an adapter over _profile."""
-    blocks = p.blocks
-    if not blocks:
+    sizes = p._sizes
+    if not sizes:
         return _EMPTY_PROFILE
     _, labels, bid = _ranks_of(p)
-    ini, ter, sing = _profile(bid, list(map(len, blocks)))
+    ini, ter, sing = _profile(bid, sizes)
     count = len(ini)
     if labels is not None:
         label = labels.__getitem__
         ini, ter, sing = map(label, ini), map(label, ter), map(label, sing)
-    return AdjacencyProfile(frozenset(ini), frozenset(ter), frozenset(sing), count)
+    return _tuple_new(AdjacencyProfile, (frozenset(ini), frozenset(ter), frozenset(sing), count))
 
 
 def canonicalize(raw_blocks: Iterable[Iterable[int]]) -> SetPartition:
@@ -277,7 +334,7 @@ def require_full_support(p: SetPartition, n: int):
 def inferred_n(p: SetPartition) -> int:
     """The n with supp(p) = {1..n}; DomainError if the support has gaps.
     n is the number of elements, and require_full_support decides."""
-    n = sum(map(len, p.blocks))
+    n = _ranks_of(p)[0]
     require_full_support(p, n)
     return n
 

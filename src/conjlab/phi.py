@@ -16,11 +16,13 @@ a partition of ranks (partition.ranks), the form that the adjacency
 profile, the relabel and the crossing scans share: they read block ids
 by rank, and the transfer's roots, renumbered, are the growth string of
 the result.  phi, phi_inverse, reduce_core and conjugate are adapters
-that take a partition's rank view and build blocks from the roots in
-one pass (partition._partition).  The exhaustive checks sweep millions
-of partitions on growth strings alone; phi_trace keeps the readable
-record-based computation, and the two paths are compared exhaustively
-in the tests.
+that read a partition's rank view and block sizes, never its blocks,
+and hand the roots to partition._partition, whose result holds the
+renumbered roots as its view and builds its blocks only when read;
+reduce_core alone builds blocks, those of the core.  The exhaustive
+checks sweep millions of partitions on growth strings alone; phi_trace
+keeps the readable record-based computation on blocks, and the two
+paths are compared exhaustively in the tests.
 
 A full scan per step makes a strip O(m x steps) on a support of size m,
 and nested inputs take about m/2 steps.  So once its scans would pass
@@ -33,12 +35,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .partition import (
+    N_MAX_HARD,
     SetPartition,
-    _ranks_of,
     _partition,
+    _ranks_of,
     _relabel,
     _renumber,
-    _shared,
+    _share,
     require_full_support,
 )
 from .separate import ROLE_ST, SeparationRecord, combine_st, separate_is
@@ -179,30 +182,33 @@ def _transfer(bid, strip, invert: bool) -> list[int]:
     return link
 
 
-def _phi_growth(bid, sizes, invert: bool = False):
+def _phi_growth(bid, sizes, invert: bool = False, build=_renumber):
     """(g, core): the growth string g of phi, or of phi_inverse when
-    invert, of the growth string bid with block sizes sizes, and the
-    strip's core ranks in scan order (empty exactly when bid is
-    noncrossing, for phi)."""
+    invert, of the growth string bid with block sizes sizes, renumbered
+    by build (with partition._grow, g and its sizes), and the strip's
+    core ranks in scan order (empty exactly when bid is noncrossing, for
+    phi)."""
     strip = _strip(bid, sizes, invert)
-    return _renumber(_transfer(bid, strip, invert)[1:]), strip[0]
+    return build(_transfer(bid, strip, invert)[1:]), strip[0]
 
 
 def _core(core, bid, labels=None) -> SetPartition:
     """The core blocks of a forward strip: its core ranks, which it lists
-    increasing, by block of bid; _shared without labels."""
+    increasing, by block of bid; _BLOCKS's over [m], m <= N_MAX_HARD."""
     groups: dict[int, list[int]] = {}
     for r in core:
         groups.setdefault(bid[r], []).append(r if labels is None else labels[r])
     blocks = map(tuple, groups.values())
-    return SetPartition(_shared(blocks, len(bid) - 1) if labels is None else tuple(blocks))
+    if labels is None and len(bid) <= N_MAX_HARD + 1:
+        blocks = [_share(b, b) for b in blocks]
+    return SetPartition(tuple(blocks))
 
 
 def _map(p: SetPartition, invert: bool):
     """The rank view of p and the roots of phi, or phi_inverse, on it."""
     view = _ranks_of(p)
     bid = view[2]
-    return view, _transfer(bid, _strip(bid, map(len, p.blocks), invert), invert)
+    return view, _transfer(bid, _strip(bid, p._sizes, invert), invert)
 
 
 def phi(p: SetPartition) -> SetPartition:
@@ -229,7 +235,7 @@ def reduce_core(p: SetPartition) -> SetPartition:
     Empty exactly when p is noncrossing.
     """
     _, labels, bid = _ranks_of(p)
-    return _core(_strip(bid, map(len, p.blocks), False)[0], bid, labels)
+    return _core(_strip(bid, p._sizes, False)[0], bid, labels)
 
 
 class ForwardRow(NamedTuple):
@@ -302,4 +308,4 @@ def conjugate(p: SetPartition, n: int) -> SetPartition:
     Like phi it interchanges the singleton count with the adjacency count.
     """
     g = require_full_support(p, n)
-    return _relabel(_transfer(g, _strip(g, map(len, p.blocks), False), False), _partition)
+    return _relabel(_transfer(g, _strip(g, p._sizes, False), False), _partition)

@@ -133,19 +133,23 @@ def _combine(rho: SetPartition, a_set, b_set, with_succ: bool, universe=None) ->
     return SetPartition(tuple(map(tuple, groups.values())))
 
 
-def _checked_combine(rec: SeparationRecord, with_succ: bool) -> SetPartition:
-    """_combine of a record in the domain, on one sorted universe."""
-    universe = sorted(rec.a_set.union(rec.rho.support, rec.b_set))
+def _checked_combine(rec: SeparationRecord, with_succ: bool, universe=None) -> SetPartition:
+    """_combine of a record in the domain, on one sorted universe (built
+    if not given)."""
+    if universe is None:
+        universe = sorted(rec.a_set.union(rec.rho.support, rec.b_set))
     if not combine_domain_ok(rec, universe):
         raise CombineDomainError(f"record outside combine domain: {rec}")
     return _combine(rec.rho, rec.a_set, rec.b_set, with_succ, universe)
 
 
-def combine_is(rec: SeparationRecord) -> SetPartition:
-    """Insert a_set as adjacency initiators and b_set as singletons."""
-    return _checked_combine(rec, with_succ=True)
+def combine_is(rec: SeparationRecord, universe=None) -> SetPartition:
+    """Insert a_set as adjacency initiators and b_set as singletons;
+    universe is the sorted combined universe, if known."""
+    return _checked_combine(rec, True, universe)
 
 
-def combine_st(rec: SeparationRecord) -> SetPartition:
-    """Insert a_set as singletons and b_set as adjacency terminators."""
-    return _checked_combine(rec, with_succ=False)
+def combine_st(rec: SeparationRecord, universe=None) -> SetPartition:
+    """Insert a_set as singletons and b_set as adjacency terminators;
+    universe is the sorted combined universe, if known."""
+    return _checked_combine(rec, False, universe)

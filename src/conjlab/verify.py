@@ -20,8 +20,10 @@ over, through the array kernels of partition, phi and noncrossing, and
 keeps a phi image of growth strings.  The union of p and its Kreweras
 complement is one block-id array too, on the interleaved ranks 1..2n;
 the crossing scan reads it once, and once per pair of gap blocks merged.
-The shard builds partitions only for the record-based reference path
-(separate/combine, phi_trace) and for counterexample text.
+The shard reads no partition's blocks except on the record-based
+reference path (separate/combine, phi_trace) and for counterexample
+text.  A check that raises inside a shard or the fixed checks fails its
+row, and its counterexample names the exception type.
 complement-involution also checks the relabel kernel against its
 definition, written out without it.  The record path checks each strip
 tail once per shard: phi_trace(p) is the step separate_is(p) and the
@@ -71,6 +73,7 @@ from .noncrossing import _kreweras, _rotate, _scan, kreweras_complement
 from .partition import (
     EMPTY,
     SetPartition,
+    _grow,
     _partition,
     _profile,
     _relabel,
@@ -176,13 +179,18 @@ def _fail(fails: dict, inv: str, ce: str | None, count: int = 1) -> None:
     fails.setdefault(inv, [0, ce])[0] += count
 
 
-def _block_sizes(g) -> list[int]:
-    """sizes[b]: the number of ranks in block b of the growth string g."""
-    sizes = [0] * len(g)
-    for b in g:
-        sizes[b] += 1
-    sizes[0] -= 1  # the pad
-    return sizes
+def _raised(exc: Exception) -> str:
+    """What a counterexample says of a check that raised exc."""
+    return f" raised {type(exc).__name__}"
+
+
+def _outcome(check) -> str | None:
+    """None when check() is true; else what a counterexample adds: "" if
+    check() is false, what it raised if it raised."""
+    try:
+        return None if check() else ""
+    except Exception as exc:
+        return _raised(exc)
 
 
 def _text(g) -> str:
@@ -222,7 +230,9 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
 
     Returns a plain dict (picklable) with counts, failures keyed by
     invariant id, the phi image as growth strings (when n is small
-    enough), and the singleton/adjacency distribution tally.
+    enough), and the singleton/adjacency distribution tally.  A check that
+    raises fails its row (the one named in row when it raised), and the
+    partition's later checks are skipped.
     """
     fails: dict[str, list] = {}
     dist: dict[tuple[int, int], int] = {}
@@ -233,104 +243,129 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
     parse_on = n <= PARSE_CAP
     union_on = n <= UNION_CAP
     tails: dict[tuple, tuple] = {}  # remainder blocks -> its trace verdict
+    m = n + 1
 
     def text() -> str:  # the counterexample: built only on failure
         return f"n={n} p={format_partition(p)}"
 
     for p in iter_set_partitions(n, prefix):
         count += 1
-        g = p._view[2]  # the growth string of p
-        sizes = list(map(len, p.blocks))
-        ini, ter, sing = _profile(g, sizes)
-        nsing, nadj = len(sing), len(ini)
-        dist[nsing, nadj] = dist.get((nsing, nadj), 0) + 1
-        if nadj != len(ter):
-            _fail(fails, "balance", text())
-        if parse_on and parse_partition(str(p)) != p:
-            _fail(fails, "parse-format-roundtrip", text())
-        cg = _relabel(g)  # the complement of p
-        # The relabel by its definition, without the kernel: g reversed,
-        # blocks renumbered by first occurrence.
-        rev = g[:0:-1]
-        first = {b: i for i, b in enumerate(dict.fromkeys(rev))}
-        if _relabel(cg) != g or cg != (0, *map(first.__getitem__, rev)):
-            _fail(fails, "complement-involution", text())
-        cini, cter, csing = _profile(cg, _block_sizes(cg))
-        m = n + 1
-        if (
-            cini != [m - t for t in reversed(ter)]
-            or cter != [m - i for i in reversed(ini)]
-            or csing != [m - s for s in reversed(sing)]
-        ):
-            _fail(fails, "complement-role-swap", text())
-        rec_is = separate_is(p)
-        rec_st = separate_st(p)
-        is_ok = combine_domain_ok(rec_is)
-        combined = None  # combine_is(rec_is), once built for this p
-        if not (is_ok and combine_domain_ok(rec_st)):
-            _fail(fails, "separate-records-in-domain", text())
-        elif (combined := combine_is(rec_is)) != p or combine_st(rec_st) != p:
-            _fail(fails, "separate-combine-roundtrip", text())
-        retagged = SeparationRecord(rec_is.rho, rec_is.a_set, rec_is.b_set, ROLE_ST)
-        if combine_domain_ok(retagged) != is_ok:
-            _fail(fails, "combine-domain-role-symmetry", text())
-        qg, core = _phi_growth(g, sizes)
-        if len(qg) != m:
-            _fail(fails, "phi-support-preserved", text())
-        qsizes = _block_sizes(qg)
-        _, qter, qsing = _profile(qg, qsizes)
-        if not (qsing == ini and qter == sing):
-            _fail(fails, "phi-statistic-interchange", f"{text()} phi(p)={_text(qg)}")
-        if _phi_growth(qg, qsizes, True)[0] != g:
-            _fail(fails, "phi-inverse-identity", text())
-        if image is not None:
-            image.add(qg)
-        cq = _relabel(qg)  # the conjugate of p
-        cqsizes = _block_sizes(cq)
-        involution_ok = _relabel(_phi_growth(cq, cqsizes)[0]) == g
-        if not involution_ok:
-            _fail(fails, "conjugate-involution", f"{text()} conj(p)={_text(cq)}")
-        cqini, _, cqsing = _profile(cq, cqsizes)
-        conj_interchange_ok = len(cqsing) == nadj and len(cqini) == nsing
-        if not conj_interchange_ok:
-            _fail(fails, "conjugate-interchange", text())
-        if trace_on:
-            # phi_trace(p) takes the step rec_is, then traces the remainder.
-            verdict = (p, 0, 0)  # no step: no rows
-            if rec_is.a_set or rec_is.b_set:
-                tail = tails.get(rec_is.rho.blocks)
-                if tail is None:
-                    tail = tails[rec_is.rho.blocks] = _trace_tail(rec_is.rho)
-                back = combine_is(rec_is) if combined is None else combined
-                verdict = _with_step(tail, rec_is, back, _reinsert(tail[0], rec_is))
-            tau, inverse, exact = verdict
-            if tau != _partition(qg[1:]):
-                _fail(fails, "phi-trace-agreement", text())
-            if inverse:
-                _fail(fails, "trace-record-inverse", f"{text()} j={inverse}")
-            if exact:
-                _fail(fails, "reverse-phase-exactness", f"{text()} j={exact}")
-        nc = _scan(g, sizes) is None
-        if nc == bool(core):
-            why = f"core={format_partition(_core(core, g))}"
-            _fail(fails, "nc-core-characterization", f"{text()} {why}")
-        if nc:
-            nc_count += 1
+        row = "balance"
+        try:
+            g = p._view[2]  # the growth string of p
+            sizes = p._sizes
+            ini, ter, sing = _profile(g, sizes)
+            nsing, nadj = len(sing), len(ini)
+            dist[nsing, nadj] = dist.get((nsing, nadj), 0) + 1
+            if nadj != len(ter):
+                _fail(fails, row, text())
+            row = "nc-core-characterization"
+            nc = _scan(g, sizes) is None
+            nc_count += nc
+            row = "parse-format-roundtrip"
+            if parse_on and parse_partition(str(p)) != p:
+                _fail(fails, row, text())
+            row = "complement-involution"
+            cg, csizes = _relabel(g, _grow)  # the complement of p
+            # The relabel by its definition, without the kernel: g reversed,
+            # blocks renumbered by first occurrence.
+            rev = g[:0:-1]
+            first = {b: i for i, b in enumerate(dict.fromkeys(rev))}
+            if _relabel(cg) != g or cg != (0, *map(first.__getitem__, rev)):
+                _fail(fails, row, text())
+            row = "complement-role-swap"
+            cini, cter, csing = _profile(cg, csizes)
+            if (
+                cini != [m - t for t in reversed(ter)]
+                or cter != [m - i for i in reversed(ini)]
+                or csing != [m - s for s in reversed(sing)]
+            ):
+                _fail(fails, row, text())
+            row = "separate-records-in-domain"
+            rec_is = separate_is(p)
+            rec_st = separate_st(p)
+            # Each record's universe, sorted once for its domain tests and combine.
+            u_is, u_st = (sorted(r.a_set.union(r.rho.support, r.b_set)) for r in (rec_is, rec_st))
+            is_ok = combine_domain_ok(rec_is, u_is)
+            combined = None  # combine_is(rec_is), once built for this p
+            if not (is_ok and combine_domain_ok(rec_st, u_st)):
+                _fail(fails, row, text())
+            else:
+                row = "separate-combine-roundtrip"
+                if (combined := combine_is(rec_is, u_is)) != p or combine_st(rec_st, u_st) != p:
+                    _fail(fails, row, text())
+            row = "combine-domain-role-symmetry"
+            retagged = SeparationRecord(rec_is.rho, rec_is.a_set, rec_is.b_set, ROLE_ST)
+            if combine_domain_ok(retagged, u_is) != is_ok:
+                _fail(fails, row, text())
+            row = "phi-support-preserved"
+            (qg, qsizes), core = _phi_growth(g, sizes, False, _grow)
+            if len(qg) != m:
+                _fail(fails, row, text())
+            row = "phi-statistic-interchange"
+            _, qter, qsing = _profile(qg, qsizes)
+            if not (qsing == ini and qter == sing):
+                _fail(fails, row, f"{text()} phi(p)={_text(qg)}")
+            row = "phi-inverse-identity"
+            if _phi_growth(qg, qsizes, True)[0] != g:
+                _fail(fails, row, text())
+            if image is not None:
+                image.add(qg)
+            row = "conjugate-involution"
+            cq, cqsizes = _relabel(qg, _grow)  # the conjugate of p
+            involution_ok = _relabel(_phi_growth(cq, cqsizes)[0]) == g
+            if not involution_ok:
+                _fail(fails, row, f"{text()} conj(p)={_text(cq)}")
+            row = "conjugate-interchange"
+            cqini, _, cqsing = _profile(cq, cqsizes)
+            conj_interchange_ok = len(cqsing) == nadj and len(cqini) == nsing
+            if not conj_interchange_ok:
+                _fail(fails, row, text())
+            if trace_on:
+                # phi_trace(p) takes the step rec_is, then traces the remainder.
+                row = "phi-trace-agreement"
+                verdict = (p, 0, 0)  # no step: no rows
+                if rec_is.a_set or rec_is.b_set:
+                    tail = tails.get(rec_is.rho.blocks)
+                    if tail is None:
+                        tail = tails[rec_is.rho.blocks] = _trace_tail(rec_is.rho)
+                    back = combine_is(rec_is, u_is) if combined is None else combined
+                    verdict = _with_step(tail, rec_is, back, _reinsert(tail[0], rec_is))
+                tau, inverse, exact = verdict
+                if tau != _partition(qg[1:]):
+                    _fail(fails, row, text())
+                if inverse:
+                    _fail(fails, "trace-record-inverse", f"{text()} j={inverse}")
+                if exact:
+                    _fail(fails, "reverse-phase-exactness", f"{text()} j={exact}")
+            row = "nc-core-characterization"
+            if nc == bool(core):
+                _fail(fails, row, f"{text()} core={format_partition(_core(core, g))}")
+            if not nc:
+                continue
+            row = "nc-closure"
             if not (_scan(qg, qsizes) is None and _scan(cq, cqsizes) is None):
-                _fail(fails, "nc-closure", text())
+                _fail(fails, row, text())
+            row = "nc-graphical-phi"
             kg = _kreweras(g, sizes)  # the gaps of p
             if kg != qg:
-                _fail(fails, "nc-graphical-phi", f"{text()} gaps={_text(kg)}")
+                _fail(fails, row, f"{text()} gaps={_text(kg)}")
+            row = "nc-graphical-conjugate"
             if _relabel(kg) != cq:
-                _fail(fails, "nc-graphical-conjugate", text())
+                _fail(fails, row, text())
+            row = "nc-conjugation-involution"
             if not (involution_ok and conj_interchange_ok):
-                _fail(fails, "nc-conjugation-involution", text())
-            if _kreweras(kg, _block_sizes(kg)) != _rotate(g, -1):
-                _fail(fails, "kreweras-double-rotation", text())
+                _fail(fails, row, text())
+            row = "kreweras-double-rotation"
+            if _kreweras(kg, _grow(kg[1:])[1]) != _rotate(g, -1):
+                _fail(fails, row, text())
+            row = "kreweras-union-maximal"
             if union_on:
                 ok, why = _union_maximal(g, kg)
                 if not ok:
-                    _fail(fails, "kreweras-union-maximal", f"{text()} {why}")
+                    _fail(fails, row, f"{text()} {why}")
+        except Exception as exc:
+            _fail(fails, row, text() + _raised(exc))
     return {
         "count": count,
         "nc": nc_count,
@@ -349,11 +384,12 @@ def _union_maximal(g, kg) -> tuple[bool, str]:
     any two gap blocks must create a crossing (the complement is the
     largest disjoint completion).
     """
-    k = max(g) + 1
+    sizes = _grow(g[1:])[1]
+    k = len(sizes)
     union = [0] * (2 * len(g) - 1)
     union[1::2] = g[1:]
     union[2::2] = [k + b for b in kg[1:]]
-    sizes = _block_sizes(g)[:k] + _block_sizes(kg)[: max(kg) + 1]
+    sizes += _grow(kg[1:])[1]
     if _scan(union, sizes):
         return False, "union crosses"
     for i in range(k, len(sizes)):
@@ -449,15 +485,14 @@ def _fixed_checks() -> dict:
     for supp in sorted(supports, key=lambda s: (len(s), s)):
         for p in iter_set_partitions_of(supp):
             items += 1
-            q = phi(p)
-            ok = (
-                combine_is(separate_is(p)) == p
+            why = _outcome(
+                lambda: combine_is(separate_is(p)) == p
                 and combine_st(separate_st(p)) == p
-                and phi_inverse(q) == p
+                and phi_inverse(q := phi(p)) == p
                 and q.support == p.support
             )
-            if not ok:
-                _fail(fails, "subset-support-roundtrip", f"support={supp} p={format_partition(p)}")
+            if why is not None:
+                _fail(fails, "subset-support-roundtrip", f"support={supp} p={format_partition(p)}{why}")
 
     # Randomized sparse supports, deterministic seed.
     rng = random.Random(SPARSE_SEED)
@@ -465,69 +500,63 @@ def _fixed_checks() -> dict:
         size = rng.randint(1, 60)
         supp = tuple(sorted(rng.sample(range(1, 61), size)))
         p = random_partition(supp, rng)
-        prof = adjacency_profile(p)
-        q = phi(p)
-        qprof = adjacency_profile(q)
-        ok = (
-            len(prof.initiators) == len(prof.terminators)
-            and qprof.singletons == prof.initiators
+        why = _outcome(
+            lambda: len((prof := adjacency_profile(p)).initiators) == len(prof.terminators)
+            and (qprof := adjacency_profile(q := phi(p))).singletons == prof.initiators
             and qprof.terminators == prof.singletons
             and q.support == p.support
             and phi_inverse(q) == p
         )
-        if not ok:
-            _fail(fails, "sparse-random-spot", f"support={supp} p={format_partition(p)}")
+        if why is not None:
+            _fail(fails, "sparse-random-spot", f"support={supp} p={format_partition(p)}{why}")
 
     # One-element support: the element is initiator, terminator and
     # singleton at once, and counts one adjacency.  The combine domain
     # takes an element as both only while it is the whole universe.
     for a in (1, 7, 60):
         p = SetPartition(((a,),))
-        prof = adjacency_profile(p)
         one = frozenset({a})
         beside = SetPartition(((a + 1,),))
-        ok = (
-            prof.initiators == one
+        why = _outcome(
+            lambda: (prof := adjacency_profile(p)).initiators == one
             and prof.terminators == one
             and prof.singletons == one
             and prof.adjacency_count == 1
             and phi(p) == p
             and not combine_domain_ok(SeparationRecord(beside, one, one, ROLE_IS))
+            and (a != 1 or conjugate(p, 1) == p)
         )
-        if a == 1:
-            ok = ok and conjugate(p, 1) == p
-        if not ok:
-            _fail(fails, "one-element-convention", f"a={a}")
+        if why is not None:
+            _fail(fails, "one-element-convention", f"a={a}{why}")
 
     # n=1 composition: (mu, nu) = (0, 1) and conjugation does NOT swap.
     c1 = Composition((1,))
-    stats = (mu(c1), nu(c1))
-    conj_stats = (mu(conjugate_composition(c1)), nu(conjugate_composition(c1)))
-    ok = (
-        stats == (0, 1)
+
+    def n1_stats():
+        return (mu(c1), nu(c1)), (mu(conjugate_composition(c1)), nu(conjugate_composition(c1)))
+
+    why = _outcome(
+        lambda: n1_stats() == ((0, 1), (0, 1))
         and conjugate_composition(c1) == c1
-        and conj_stats == (0, 1)
-        and conj_stats != (stats[1], stats[0])
         and (mu_path(to_path(c1)), nu_path(to_path(c1))) == (0, 0)
     )
-    if not ok:
-        _fail(fails, "mu-nu-n1-exception", f"stats={stats} conj_stats={conj_stats}")
+    if why is not None:
+        _fail(fails, "mu-nu-n1-exception", why[1:] or "stats={} conj_stats={}".format(*n1_stats()))
 
     # Empty partition is a fixed point everywhere it is legal.
-    prof = adjacency_profile(EMPTY)
-    ok = (
-        phi(EMPTY) == EMPTY
+    why = _outcome(
+        lambda: phi(EMPTY) == EMPTY
         and phi_inverse(EMPTY) == EMPTY
         and reduce_core(EMPTY) == EMPTY
         and kreweras_complement(EMPTY) == EMPTY
-        and not prof.initiators
+        and not (prof := adjacency_profile(EMPTY)).initiators
         and not prof.singletons
         and prof.adjacency_count == 0
         and str(EMPTY) == ""
         and parse_partition("") == EMPTY
     )
-    if not ok:
-        _fail(fails, "empty-partition-fixed-point", None)
+    if why is not None:
+        _fail(fails, "empty-partition-fixed-point", why[1:] or None)
     rows = [
         ("subset-support-roundtrip", "partitions of every support within [8], size <= 6", items),
         (

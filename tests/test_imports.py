@@ -123,7 +123,27 @@ class TestDeferredImports:
         assert loaded_after("import conjlab.cli").isdisjoint(DEFERRED)
 
     def test_phi_command_loads_no_deferred_module(self):
-        code = (
+        modules = self.phi_command_modules()
+        assert "conjlab.phi" in modules
+        assert modules.isdisjoint(DEFERRED)
+
+    def test_cli_start_up_loads_these_package_modules(self):
+        # cli-oneshot times this start-up, and without cached bytecode every
+        # module on it is compiled on each call: adding one shows there.
+        start_up = {
+            "conjlab",
+            "conjlab.cli",
+            "conjlab.errors",
+            "conjlab.partition",
+            "conjlab.phi",
+            "conjlab.separate",
+        }
+        for modules in (loaded_after("import conjlab.cli"), self.phi_command_modules()):
+            assert {m for m in modules if m.split(".")[0] == "conjlab"} == start_up
+
+    @staticmethod
+    def phi_command_modules() -> set[str]:
+        return loaded_after(
             "import runpy, sys\n"
             "sys.argv = ['conjlab', 'phi', '1 3 - 2 4']\n"
             "try:\n"
@@ -131,9 +151,6 @@ class TestDeferredImports:
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code\n"
         )
-        modules = loaded_after(code)
-        assert "conjlab.phi" in modules
-        assert modules.isdisjoint(DEFERRED)
 
     def test_table_choices_match_enumeration(self):
         from conjlab.cli import TABLE_PAIRS

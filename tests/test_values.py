@@ -216,10 +216,9 @@ def viewed_inputs():
     out += [phi_module.phi(p) for p in iter_set_partitions_of([2, 4, 5, 9])]
     for p in iter_set_partitions(4):
         m, _, g = p._view
-        out.append(partition._viewed(p.blocks, (m, list(range(m + 1)), g)))
+        out.append(partition._lazy((m, list(range(m + 1)), g), p._sizes))
         spread = [0, 1, 2, 3, 5]  # rank 4 is the element 5
-        blocks = tuple(tuple(spread[r] for r in blk) for blk in p.blocks)
-        out.append(partition._viewed(blocks, (m, spread, g)))
+        out.append(partition._lazy((m, spread, g), p._sizes))
     return out
 
 

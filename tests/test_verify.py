@@ -384,6 +384,40 @@ class TestMapFaultIsAFailure:
         }
 
 
+    def test_dropped_rank_is_a_failure(self, monkeypatch, capsys):
+        # A transfer that loses its last root: the result's builder gets
+        # ranks it cannot place and raises.  The rows whose checks raise
+        # fail, naming the partition and the exception type, and the run
+        # still reports and exits 3.
+        mutant = source_mutant(phi_module, "_transfer", "    return link\n", "    return link[:-1]\n")
+        monkeypatch.setattr(phi_module, "_transfer", mutant)
+        report = verify_suite(n_max=4, comp_n_max=2)
+        caught = failing(report)
+        assert caught.pop("sparse-random-spot").endswith(" raised IndexError")
+        assert caught == {
+            "phi-support-preserved": "n=1 p=1",
+            "phi-statistic-interchange": "n=1 p=1 phi(p)=",
+            "phi-inverse-identity": "n=1 p=1",
+            "phi-injective-image": "n=2 image=1 of 2",
+            "phi-trace-agreement": "n=1 p=1",
+            "conjugate-involution": "n=1 p=1 conj(p)=",
+            "conjugate-interchange": "n=1 p=1",
+            "nc-graphical-phi": "n=1 p=1 gaps=1",
+            "nc-graphical-conjugate": "n=1 p=1",
+            "nc-conjugation-involution": "n=1 p=1",
+            "subset-support-roundtrip": "support=(1,) p=1",
+            "one-element-convention": "a=1",
+        }
+        # In a shard the check that raised fails, and the counts stay whole.
+        shard = verify_module.partition_shard(3)
+        assert shard["fails"]["phi-inverse-identity"] == [4, "n=3 p=1 2 3 raised IndexError"]
+        assert (shard["count"], shard["nc"]) == (5, 5)
+        assert main(["verify", "--n-max", "4", "--comp-n-max", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == report.render() + "\n"
+        assert err == ""
+
+
 TRACE_ROWS = ("phi-trace-agreement", "trace-record-inverse", "reverse-phase-exactness")
 
 
