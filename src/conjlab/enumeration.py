@@ -6,13 +6,10 @@ enumeration splits into independent sub-ranges by fixing a prefix; the
 shards cover the whole space exactly once and can run concurrently.
 Each partition carries its growth string, the form the partition kernels
 work on, as its rank view (n, None, (0, a_1, ..., a_n)), and its block
-sizes.  Lex order changes only a tail of the string (Knuth, TAOCP 4A,
-7.2.1.5), so a step updates only the sizes and masks of the blocks whose
-elements it moves.  For n <= N_MAX_HARD a partition builds its blocks
-only when they are read, each from partition._BLOCKS, so all partitions
-of [n] share one tuple per block, with the map results over [n] too;
-beyond it the walk builds blocks as it goes, and consecutive partitions
-share the blocks a step leaves alone.
+sizes, and nothing more.  Lex order changes only a tail of the string
+(Knuth, TAOCP 4A, 7.2.1.5), so a step updates only the sizes of the
+blocks whose elements it moves.  A partition builds its blocks only when
+they are read; which tuple a block gets is decided in partition alone.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .compositions import Composition, _composition, mu, nu
 from .partition import (
     EMPTY,
-    N_MAX_HARD,
+    N_MAX_HARD,  # re-exported: the bound of the partition sweeps
     SetPartition,
     _lazy,
     adjacency_profile,
@@ -123,40 +120,27 @@ def iter_set_partitions(
     to 0; those were at their maxima, so elements i + 2..n each sat alone
     in one of the last blocks.  So a step drops those blocks, moves element
     i + 1 from block a[i] - 1 to block a[i], and adds elements i + 2..n to
-    block 0: it updates the block sizes and masks so.  For n <=
-    N_MAX_HARD a partition builds its blocks from its masks when they are
-    read.  Beyond it each partition's blocks are built at once, and the
-    tuples of the blocks a step leaves alone are the previous ones.
+    block 0: it updates the block sizes so.  Each partition builds its
+    blocks when they are read.
     """
     _check_prefix(n, prefix)
     if n == 0:
         yield EMPTY
         return
     sizes: list[int] = []
-    masks: list[int] = []
-    shared: dict = {}
     for a, i in _rgs_walk(n, prefix):
         if not sizes:  # the first string
             sizes = [a.count(k) for k in range(max(a) + 1)]
-            masks = [sum(1 << x for x, b in enumerate(a, 1) if b == k) for k in range(len(sizes))]
         else:
             j = len(sizes) + i + 1 - n  # the blocks of elements i + 2..n
-            del sizes[j:], masks[j:]
+            del sizes[j:]
             c = a[i]
             if c == j:
                 sizes.append(0)
-                masks.append(0)
             sizes[c - 1] -= 1
             sizes[c] += 1
             sizes[0] += n - i - 1
-            masks[c - 1] -= 2 << i
-            masks[c] += 2 << i
-            masks[0] += (2 << n) - (4 << i)  # the bits of i + 2..n
-        p = _lazy((n, None, (0, *a)), sizes[:], masks[:] if n <= N_MAX_HARD else None)
-        if n > N_MAX_HARD:  # blocks built now, sharing the tuples of those the step left alone
-            blocks = p.__dict__["blocks"] = tuple([shared.get(b, b) for b in p.blocks])
-            shared = dict(zip(blocks, blocks))
-        yield p
+        yield _lazy((n, None, (0, *a)), sizes[:])
 
 
 def iter_set_partitions_of(elements: Iterable[int]) -> Iterator[SetPartition]:

@@ -20,11 +20,12 @@ partitions of exactly [n] take their input's growth string from
 require_full_support, the one check of that support.
 
 Every block tuple of a partition of [m], m <= N_MAX_HARD, that the
-library builds without labels is the one entry of _BLOCKS equal to it,
-looked up by its mask of ranks in _BY_MASK (or shared by phi's core), so
-results kept over an exhaustive sweep share one tuple per block.
-_BLOCKS holds at most 2^12 - 1 = 4,095 entries, the nonempty subsets of
-[12], in about 0.5 MB when full.
+library builds without labels is the entry of _BY_MASK for its mask of
+ranks, so results kept over an exhaustive sweep share one tuple per
+block.  _BY_MASK is the one table that decides which tuple a block gets;
+the enumeration hands over only growth strings and sizes.  It holds at
+most 2^12 - 1 = 4,095 entries, the nonempty subsets of [12], in about
+0.5 MB when full.
 
 Text form: blocks joined by " - ", elements by single spaces; the empty
 partition is the empty string.
@@ -38,13 +39,8 @@ from typing import Iterable, NamedTuple
 from .errors import DomainError, InvalidPartitionError, ParseError
 
 # Largest n of an exhaustive sweep (B(12) = 4,213,597 partitions of [12]),
-# and of the supports [n] whose blocks _BLOCKS shares.
+# and of the supports [n] whose blocks _BY_MASK shares.
 N_MAX_HARD = 12
-
-# Each block over [m], m <= N_MAX_HARD, that the library has built, keyed
-# by itself: _share(blk, blk) is the one tuple equal to blk.
-_BLOCKS: dict[tuple[int, ...], tuple[int, ...]] = {}
-_share = _BLOCKS.setdefault
 
 # The mask of a block of ranks is the sum of _BITS[r] over its ranks r;
 # the pad of a growth string, rank 0, adds nothing.
@@ -52,12 +48,11 @@ _BITS = (0, *(1 << r for r in range(1, N_MAX_HARD + 1)))
 
 
 class _ByMask(dict):
-    """The entry of _BLOCKS for each block over [m], m <= N_MAX_HARD, by
-    its mask; a mask is added on its first lookup."""
+    """The one tuple of each block over [m], m <= N_MAX_HARD, by its mask;
+    a mask is added, with its block, on its first lookup."""
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
-        blk = tuple([r for r in range(1, mask.bit_length()) if mask >> r & 1])
-        blk = self[mask] = _share(blk, blk)
+        blk = self[mask] = tuple([r for r in range(1, mask.bit_length()) if mask >> r & 1])
         return blk
 
 
@@ -76,19 +71,17 @@ class _Kept:
 
 class _Blocks:
     """SetPartition.blocks of a partition built from its view, made on first
-    read and kept.  Over [m], m <= N_MAX_HARD, they are the _BY_MASK entries
-    of the block masks, handed over by the enumeration or read from g."""
+    read and kept.  Over [m], m <= N_MAX_HARD, without labels they are the
+    _BY_MASK entries of the block masks read from g."""
 
     def __get__(self, p, owner=None):
         if p is None:
             return self
         m, labels, g = p._view
-        masks = p._masks
-        if masks is None and labels is None and 0 < m <= N_MAX_HARD:
+        if labels is None and 0 < m <= N_MAX_HARD:
             masks = [0] * len(p._sizes)
             for bit, b in zip(_BITS, g):
                 masks[b] += bit
-        if masks is not None:
             blocks = p.__dict__["blocks"] = tuple(map(_BY_MASK.__getitem__, masks))
             return blocks
         lists: list[list[int]] = [[] for _ in p._sizes]
@@ -132,7 +125,7 @@ class SetPartition(_Frozen):
     """
 
     _field = "blocks"
-    _view = _masks = None
+    _view = None
     blocks = _Blocks()
 
     def __init__(self, blocks: tuple[tuple[int, ...], ...]):
@@ -173,12 +166,12 @@ EMPTY = SetPartition(())
 _new = object.__new__
 
 
-def _lazy(view, sizes, masks=None) -> SetPartition:
-    """The partition with rank view view, block sizes sizes and block
-    masks masks (None: unknown); it builds its blocks when they are read."""
+def _lazy(view, sizes) -> SetPartition:
+    """The partition with rank view view and block sizes sizes; it builds
+    its blocks when they are read."""
     p = _new(SetPartition)
     d = p.__dict__
-    d["_view"], d["_sizes"], d["_masks"] = view, sizes, masks
+    d["_view"], d["_sizes"] = view, sizes
     return p
 
 

@@ -19,7 +19,9 @@ the result.  phi, phi_inverse, reduce_core and conjugate are adapters
 that read a partition's rank view and block sizes, never its blocks,
 and hand the roots to partition._partition, whose result holds the
 renumbered roots as its view and builds its blocks only when read;
-reduce_core alone builds blocks, those of the core.  The exhaustive
+reduce_core alone builds blocks, those of the core, which over [m],
+m <= N_MAX_HARD, it looks up by mask in partition._BY_MASK, the one
+table of shared block tuples.  The exhaustive
 checks sweep millions of partitions on growth strings alone; phi_trace
 keeps the readable record-based computation on blocks, and the two
 paths are compared exhaustively in the tests.
@@ -35,13 +37,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .partition import (
+    _BITS,
+    _BY_MASK,
     N_MAX_HARD,
     SetPartition,
     _partition,
     _ranks_of,
     _relabel,
     _renumber,
-    _share,
     require_full_support,
 )
 from .separate import ROLE_ST, SeparationRecord, combine_st, separate_is
@@ -194,13 +197,14 @@ def _phi_growth(bid, sizes, invert: bool = False, build=_renumber):
 
 def _core(core, bid, labels=None) -> SetPartition:
     """The core blocks of a forward strip: its core ranks, which it lists
-    increasing, by block of bid; _BLOCKS's over [m], m <= N_MAX_HARD."""
+    increasing, by block of bid; over [m], m <= N_MAX_HARD, without labels
+    each is the _BY_MASK entry of its mask."""
     groups: dict[int, list[int]] = {}
     for r in core:
         groups.setdefault(bid[r], []).append(r if labels is None else labels[r])
     blocks = map(tuple, groups.values())
     if labels is None and len(bid) <= N_MAX_HARD + 1:
-        blocks = [_share(b, b) for b in blocks]
+        blocks = [_BY_MASK[sum(map(_BITS.__getitem__, b))] for b in groups.values()]
     return SetPartition(tuple(blocks))
 
 

@@ -22,8 +22,9 @@ complement is one block-id array too, on the interleaved ranks 1..2n;
 the crossing scan reads it once, and once per pair of gap blocks merged.
 The shard reads no partition's blocks except on the record-based
 reference path (separate/combine, phi_trace) and for counterexample
-text.  A check that raises inside a shard or the fixed checks fails its
-row, and its counterexample names the exception type.
+text.  A check that raises inside a shard, a composition sweep or the
+fixed checks fails its row, and its counterexample names the exception
+type.
 complement-involution also checks the relabel kernel against its
 definition, written out without it.  The record path checks each strip
 tail once per shard: phi_trace(p) is the step separate_is(p) and the
@@ -402,7 +403,12 @@ def _union_maximal(g, kg) -> tuple[bool, str]:
 
 
 def composition_sweep(n: int) -> dict:
-    """All composition invariants for one n (fast; never sharded)."""
+    """All composition invariants for one n (fast; never sharded).
+
+    As in partition_shard, a check that raises fails its row (the one
+    named in row when it raised): in the loop the composition's later
+    checks are skipped, and in the tail the later tail checks.
+    """
     fails: dict[str, list] = {}
     dist: dict[tuple[int, int], int] = {}
     count = 0
@@ -414,59 +420,67 @@ def composition_sweep(n: int) -> dict:
 
     for c in iter_compositions(n):
         count += 1
-        cc = conjugate_composition(c)
-        if conjugate_composition(cc) != c:
-            _fail(fails, "comp-conjugate-involution", text())
-        if len(c.parts) + len(cc.parts) != n + 1:
-            _fail(fails, "comp-length-law", text())
-        if strip_conjugate(c) != cc:
-            _fail(
-                fails,
-                "comp-strip-agreement",
-                f"{text()} strip={format_composition(strip_conjugate(c))} "
-                f"flip={format_composition(cc)}",
-            )
-        mu_c, nu_c = mu(c), nu(c)
-        dist[mu_c, nu_c] = dist.get((mu_c, nu_c), 0) + 1
-        if n >= 2:
-            if mu(cc) != nu_c or nu(cc) != mu_c:
-                _fail(fails, "comp-mu-nu-interchange", text())
-            path = to_path(c)
-            if mu_path(path) != mu_c or nu_path(path) != nu_c:
-                _fail(fails, "comp-path-agreement", text())
-            if mu_path(flip_path(path)) != nu_path(path):
-                _fail(fails, "comp-path-flip-duality", text())
         if keep:
             comps.append(c)
-    if count != 2 ** (n - 1):
-        _fail(fails, "enum-composition-count", f"n={n} count={count}")
-    if n >= 2 and _asymmetric_pair(dist) is not None:
-        _fail(fails, "mu-nu-distribution-symmetric", f"n={n}")
-    if n <= PALINDROME_CAP:
-        ordered = sorted(comps, key=sort_rank)
-        for i, c in enumerate(ordered):
-            if conjugate_composition(c) != ordered[len(ordered) - 1 - i]:
+        row = "comp-conjugate-involution"
+        try:
+            cc = conjugate_composition(c)
+            if conjugate_composition(cc) != c:
+                _fail(fails, row, text())
+            row = "comp-length-law"
+            if len(c.parts) + len(cc.parts) != n + 1:
+                _fail(fails, row, text())
+            row = "comp-strip-agreement"
+            if strip_conjugate(c) != cc:
                 _fail(
                     fails,
-                    "comp-sorted-palindrome",
-                    f"n={n} position={i} c={format_composition(c)}",
+                    row,
+                    f"{text()} strip={format_composition(strip_conjugate(c))} "
+                    f"flip={format_composition(cc)}",
                 )
-                break
-    if n <= SUBSET_LEX_CAP:
-        by_len: dict[int, list[Composition]] = {}
-        for c in comps:
-            by_len.setdefault(len(c.parts), []).append(c)
-        for length, group in sorted(by_len.items()):
-            in_lex = sorted(group, key=lambda c: c.parts)
-            subsets = sorted(tuple(sorted(to_subset(c))) for c in group)
-            for c, subset in zip(in_lex, subsets):
-                if tuple(sorted(to_subset(c))) != subset:
-                    _fail(
-                        fails,
-                        "comp-subset-lex-order",
-                        f"n={n} length={length} c={format_composition(c)}",
-                    )
+            row = "comp-mu-nu-interchange"
+            mu_c, nu_c = mu(c), nu(c)
+            dist[mu_c, nu_c] = dist.get((mu_c, nu_c), 0) + 1
+            if n >= 2:
+                if mu(cc) != nu_c or nu(cc) != mu_c:
+                    _fail(fails, row, text())
+                row = "comp-path-agreement"
+                path = to_path(c)
+                if mu_path(path) != mu_c or nu_path(path) != nu_c:
+                    _fail(fails, row, text())
+                row = "comp-path-flip-duality"
+                if mu_path(flip_path(path)) != nu_path(path):
+                    _fail(fails, row, text())
+        except Exception as exc:
+            _fail(fails, row, text() + _raised(exc))
+    row = "enum-composition-count"
+    try:
+        if count != 2 ** (n - 1):
+            _fail(fails, row, f"n={n} count={count}")
+        row = "mu-nu-distribution-symmetric"
+        if n >= 2 and _asymmetric_pair(dist) is not None:
+            _fail(fails, row, f"n={n}")
+        row = "comp-sorted-palindrome"
+        if n <= PALINDROME_CAP:
+            ordered = sorted(comps, key=sort_rank)
+            for i, c in enumerate(ordered):
+                if conjugate_composition(c) != ordered[len(ordered) - 1 - i]:
+                    _fail(fails, row, f"n={n} position={i} c={format_composition(c)}")
                     break
+        row = "comp-subset-lex-order"
+        if n <= SUBSET_LEX_CAP:
+            by_len: dict[int, list[Composition]] = {}
+            for c in comps:
+                by_len.setdefault(len(c.parts), []).append(c)
+            for length, group in sorted(by_len.items()):
+                in_lex = sorted(group, key=lambda c: c.parts)
+                subsets = sorted(tuple(sorted(to_subset(c))) for c in group)
+                for c, subset in zip(in_lex, subsets):
+                    if tuple(sorted(to_subset(c))) != subset:
+                        _fail(fails, row, f"n={n} length={length} c={format_composition(c)}")
+                        break
+    except Exception as exc:
+        _fail(fails, row, f"n={n}" + _raised(exc))
     return {"count": count, "fails": fails, "dist": dist}
 
 

@@ -19,7 +19,7 @@ from conjlab import (
     parse_partition,
     random_partition,
 )
-from conjlab.enumeration import _asymmetric_pair, iter_rgs, rgs_prefixes
+from conjlab.enumeration import N_MAX_HARD, _asymmetric_pair, iter_rgs, rgs_prefixes
 
 # Frozen reference values (partition and noncrossing-partition counts).
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
@@ -108,10 +108,11 @@ def rebuilt(n, prefix=()):
 
 
 class TestSharedBlockTuples:
-    """Consecutive partitions share the tuples of the blocks whose
-    letters did not change."""
+    """Over [n], n <= N_MAX_HARD, consecutive partitions share the tuples
+    of the blocks whose letters did not change: both take them from the
+    one table of shared blocks."""
 
-    # Past N_MAX_HARD the step is the same, without the shared table: a
+    # Past N_MAX_HARD the step is the same and blocks are built afresh: a
     # few shards of n = 13..15 with long prefixes, so that each is small.
     SHARDS = (
         [(n, ()) for n in range(1, 10)]
@@ -134,6 +135,8 @@ class TestSharedBlockTuples:
     def test_untouched_blocks_are_shared(self):
         shared = 0
         for n, prefix in self.SHARDS:
+            if n > N_MAX_HARD:  # no table past it
+                continue
             prev = None
             for p in iter_set_partitions(n, prefix):
                 if prev is not None:

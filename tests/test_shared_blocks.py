@@ -1,5 +1,6 @@
 """Block tuples of partitions of [m], m <= N_MAX_HARD, come from one
-bounded table (partition._BLOCKS), and sharing them changes no value."""
+bounded table keyed by block mask (partition._BY_MASK), and sharing them
+changes no value."""
 
 import gc
 import pickle
@@ -21,8 +22,13 @@ from conjlab import (
     rotate_partition,
 )
 from conjlab.enumeration import N_MAX_HARD, iter_set_partitions, iter_set_partitions_of
-from conjlab.partition import _BLOCKS
+from conjlab.partition import _BY_MASK
 from conjlab.separate import combine_st, separate_is, separate_st
+
+
+def mask(blk) -> int:
+    """The mask of a block: bit x for each element x."""
+    return sum(1 << x for x in blk)
 
 
 def fresh(p: SetPartition) -> SetPartition:
@@ -50,7 +56,7 @@ def maps_of(p: SetPartition, n: int) -> list[SetPartition]:
 
 def assert_from_table(p: SetPartition) -> None:
     for blk in p.blocks:
-        assert _BLOCKS.get(blk) is blk, (str(p), blk)
+        assert _BY_MASK.get(mask(blk)) is blk, (str(p), blk)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -69,9 +75,9 @@ def test_the_table_stays_bounded():
     viewed = list(iter_set_partitions_of([3, 7, 9]))
     sparse = [*viewed, *map(fresh, viewed), parse_partition("3 7 - 9")]
     list(iter_set_partitions(3))  # iter_set_partitions_of([3, 7, 9]) walks [3]
-    before = dict(_BLOCKS)
+    before = dict(_BY_MASK)
     for p in iter_set_partitions(13, tuple(range(9))):
-        assert all(_BLOCKS.get(blk) is not blk for blk in p.blocks), str(p)
+        assert all(_BY_MASK.get(mask(blk)) is not blk for blk in p.blocks), str(p)
     for p in [big, *sparse]:
         results = [phi(p), phi_inverse(p), separate_is(p).rho, combine_st(separate_st(p))]
         if p is big:
@@ -80,12 +86,12 @@ def test_the_table_stays_bounded():
             with pytest.raises(DomainError):
                 conjugate(p, 9)
         for q in results:
-            assert all(_BLOCKS.get(blk) is not blk for blk in q.blocks), str(q)
+            assert all(_BY_MASK.get(mask(blk)) is not blk for blk in q.blocks), str(q)
     # Labelled supports and m > N_MAX_HARD never reach the table.
-    assert _BLOCKS.keys() == before.keys()
-    assert len(_BLOCKS) <= 2**N_MAX_HARD - 1
-    for key, blk in _BLOCKS.items():
-        assert key is blk
+    assert _BY_MASK.keys() == before.keys()
+    assert len(_BY_MASK) <= 2**N_MAX_HARD - 1
+    for key, blk in _BY_MASK.items():
+        assert key == mask(blk)
         assert blk and list(blk) == sorted(set(blk)), blk
         assert 1 <= blk[0] and blk[-1] <= N_MAX_HARD, blk
 

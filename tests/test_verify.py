@@ -236,6 +236,27 @@ class TestMutationDetection:
             multi = verify_suite(n_max=3, comp_n_max=6, jobs=3)
             assert multi.to_records() == report.to_records()
 
+    def test_raising_composition_check_is_a_failure(self, monkeypatch, capsys):
+        # A composition check that raises fails its row, in the loop and
+        # in the tail checks, and the run still reports and exits 3.
+        def raises(c):
+            raise IndexError(c)
+
+        monkeypatch.setattr(verify_module, "conjugate_composition", raises)
+        report = verify_suite(n_max=2, comp_n_max=3, jobs=1)
+        assert {r.invariant: (r.failures, r.counterexample) for r in report.results if not r.ok} == {
+            "comp-conjugate-involution": (7, "n=1 c=1 raised IndexError"),
+            "comp-sorted-palindrome": (3, "n=1 raised IndexError"),
+            "mu-nu-n1-exception": (1, "raised IndexError"),
+        }
+        if multiprocessing.get_start_method() == "fork":
+            multi = verify_suite(n_max=2, comp_n_max=3, jobs=3)
+            assert multi.to_records() == report.to_records()
+        assert main(["verify", "--n-max", "2", "--comp-n-max", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == report.render() + "\n"
+        assert err == ""
+
 
 class TestCounterexampleText:
     def test_built_only_on_failure(self, monkeypatch):
@@ -416,6 +437,112 @@ class TestMapFaultIsAFailure:
         out, err = capsys.readouterr()
         assert out == report.render() + "\n"
         assert err == ""
+
+
+# The first failing sparse trial of verify_suite: the same for every
+# mutant of a kernel that phi runs.
+SPARSE_SPOT = (
+    "support=(2, 4, 7, 12, 13, 16, 18, 19, 22, 23, 25, 26, 31, 32, 37, 38, 39, 40, 42, 43, "
+    "45, 48, 51, 52, 53, 54, 55, 56, 58, 59, 60) p=2 12 16 18 19 26 51 - 4 7 13 22 32 40 54 "
+    "- 23 25 31 55 - 37 39 42 43 45 - 38 58 59 - 48 53 56 60 - 52"
+)
+
+
+@pytest.mark.parametrize(
+    "modules, name, old, new, caught",
+    [
+        pytest.param(
+            (phi_module,),
+            "_transfer",
+            "link[x] = rep.setdefault(bid[x], x)",
+            "link[x] = x",
+            {
+                "phi-statistic-interchange": "n=4 p=1 3 - 2 4 phi(p)=1 - 2 - 3 - 4",
+                "phi-inverse-identity": "n=4 p=1 3 - 2 4",
+                "phi-injective-image": "n=4 image=14 of 15",
+                "phi-trace-agreement": "n=4 p=1 3 - 2 4",
+                "conjugate-involution": "n=4 p=1 3 - 2 4 conj(p)=1 - 2 - 3 - 4",
+                "conjugate-interchange": "n=4 p=1 3 - 2 4",
+                "subset-support-roundtrip": "support=(1, 2, 3, 4) p=1 3 - 2 4",
+                "sparse-random-spot": SPARSE_SPOT,
+            },
+            id="missing-core-merge",
+        ),
+        pytest.param(
+            (phi_module,),
+            "_strip",
+            "prev = live[-1]",
+            "prev = live[0]",
+            {
+                "phi-statistic-interchange": "n=3 p=1 - 2 3 phi(p)=1 - 2 - 3",
+                "phi-inverse-identity": "n=3 p=1 3 - 2",
+                "phi-injective-image": "n=3 image=4 of 5",
+                "phi-trace-agreement": "n=3 p=1 - 2 3",
+                "conjugate-involution": "n=3 p=1 3 - 2 conj(p)=1 - 2 3",
+                "conjugate-interchange": "n=3 p=1 - 2 3",
+                "nc-core-characterization": "n=4 p=1 3 - 2 4 core=",
+                "nc-graphical-phi": "n=3 p=1 - 2 3 gaps=1 3 - 2",
+                "nc-graphical-conjugate": "n=3 p=1 - 2 3",
+                "nc-conjugation-involution": "n=3 p=1 3 - 2",
+                "subset-support-roundtrip": "support=(1, 2, 3) p=1 3 - 2",
+                "sparse-random-spot": SPARSE_SPOT,
+            },
+            id="off-by-one-cyclic-neighbour",
+        ),
+        pytest.param(
+            (phi_module,),
+            "_strip",
+            "ends.append(prev)",
+            "ends.append(x)",
+            {
+                "phi-statistic-interchange": "n=4 p=1 2 - 3 4 phi(p)=1 3 - 2 - 4",
+                "phi-inverse-identity": "n=4 p=1 2 - 3 4",
+                "phi-injective-image": "n=5 image=47 of 52",
+                "phi-trace-agreement": "n=4 p=1 2 - 3 4",
+                "conjugate-involution": "n=4 p=1 2 - 3 4 conj(p)=1 - 2 4 - 3",
+                "conjugate-interchange": "n=5 p=1 2 - 3 4 - 5",
+                "nc-graphical-phi": "n=4 p=1 2 - 3 4 gaps=1 - 2 4 - 3",
+                "nc-graphical-conjugate": "n=4 p=1 2 - 3 4",
+                "nc-conjugation-involution": "n=4 p=1 2 - 3 4",
+                "subset-support-roundtrip": "support=(1, 2, 3, 4) p=1 2 - 3 4",
+                "sparse-random-spot": SPARSE_SPOT,
+            },
+            id="wrong-kill-set",
+        ),
+        pytest.param(
+            (noncrossing_module, verify_module),
+            "_scan",
+            "        if not left[b]:\n"
+            "            stack.pop()\n"
+            "        if pockets is not None:\n"
+            "            pockets.append(last[stack[-1]] if stack else 0)\n",
+            "        if pockets is not None:\n"
+            "            pockets.append(last[stack[-1]] if stack else 0)\n"
+            "        if not left[b]:\n"
+            "            stack.pop()\n",
+            {
+                "nc-graphical-phi": "n=2 p=1 - 2 gaps=1 - 2",
+                "nc-graphical-conjugate": "n=2 p=1 - 2",
+                "kreweras-double-rotation": "n=2 p=1 2",
+                "kreweras-union-maximal": "n=2 p=1 - 2 gap blocks (2,) and (4,) merge without crossing",
+            },
+            id="block-popped-late",
+        ),
+    ],
+)
+def test_kernel_mutant_is_caught(monkeypatch, capsys, modules, name, old, new, caught):
+    # Each mutant of a kernel fails its pinned rows by n = 5, and the run
+    # reports them and exits 3.
+    mutant = source_mutant(modules[0], name, old, new)
+    for module in modules:
+        monkeypatch.setattr(module, name, mutant)
+    report = verify_suite(n_max=5, comp_n_max=2)
+    assert failing(report) == caught
+    assert main(["verify", "--n-max", "5", "--comp-n-max", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == report.render() + "\n"
+    assert out.splitlines()[-1].startswith("result: FAIL")
+    assert err == ""
 
 
 TRACE_ROWS = ("phi-trace-agreement", "trace-record-inverse", "reverse-phase-exactness")
