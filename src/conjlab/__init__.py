@@ -18,9 +18,10 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    # Core: imported eagerly.  They must be, because importing the
-    # submodule conjlab.phi sets the package attribute phi to that module,
-    # and __getattr__ would then never be asked for the function.
+    # Core (_CORE): imported eagerly, and all that a CLI call loads before
+    # its command runs.  phi must be, because importing the submodule
+    # conjlab.phi sets the package attribute phi to that module, and
+    # __getattr__ would then never be asked for the function.
     "errors": ("CombineDomainError", "DomainError", "InvalidPartitionError", "ParseError"),
     "partition": (
         "EMPTY",
@@ -33,18 +34,21 @@ _EXPORTS = {
         "inferred_n",
         "parse_partition",
     ),
-    "phi": ("PhiTrace", "conjugate", "phi", "phi_inverse", "phi_trace", "reduce_core"),
+    "phi": ("conjugate", "phi", "phi_inverse", "reduce_core"),
+    # Loaded on first access.  separate holds the record-based reference
+    # path, which only trace, verify and library code run.
     "separate": (
         "ROLE_IS",
         "ROLE_ST",
+        "PhiTrace",
         "SeparationRecord",
         "combine_domain_ok",
         "combine_is",
         "combine_st",
+        "phi_trace",
         "separate_is",
         "separate_st",
     ),
-    # Loaded on first access.
     "compositions": (
         "Composition",
         "conjugate_composition",
@@ -85,7 +89,7 @@ _EXPORTS = {
     ),
     "verify": ("VerifyReport", "verify_suite"),
 }
-_CORE = ("errors", "partition", "phi", "separate")
+_CORE = ("errors", "partition", "phi")
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_SOURCE)

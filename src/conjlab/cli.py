@@ -36,7 +36,7 @@ from .partition import (
     parse_partition,
     partition_to_blocks,
 )
-from .phi import conjugate, phi, phi_trace
+from .phi import conjugate, phi
 
 # Every other module is imported by the commands that use it, so that one
 # call loads only what its command runs.
@@ -100,6 +100,7 @@ def cmd_map(args, use_json: bool) -> int:
 
 def cmd_trace(args, use_json: bool) -> int:
     from .render import render_trace, trace_to_dict
+    from .separate import phi_trace
 
     p = parse_partition(args.partition)
     trace = phi_trace(p)

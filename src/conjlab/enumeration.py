@@ -15,9 +15,8 @@ they are read; which tuple a block gets is decided in partition alone.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .compositions import Composition, _composition, mu, nu
 from .partition import (
     EMPTY,
     N_MAX_HARD,  # re-exported: the bound of the partition sweeps
@@ -26,6 +25,9 @@ from .partition import (
     adjacency_profile,
     canonicalize,
 )
+
+if TYPE_CHECKING:  # only the composition functions below load compositions
+    from .compositions import Composition
 
 # Largest n of an exhaustive composition sweep, in conjlab verify and
 # conjlab enumerate: 2^19 compositions of 20.  N_MAX_HARD bounds the
@@ -180,6 +182,8 @@ def iter_compositions(n: int) -> Iterator[Composition]:
     Bit i of the mask cuts after i + 1, so its n - 1 bits, read from bit 0
     up, split at the cuts into runs of 0s, each one short of its part.
     """
+    from .compositions import _composition
+
     if n < 1:
         raise ValueError("n must be >= 1")
     top = 1 << (n - 1)
@@ -225,6 +229,8 @@ def distribution(n: int, pair: str) -> DistributionTable:
             key = (len(prof.singletons), prof.adjacency_count)
             counts[key] = counts.get(key, 0) + 1
     elif pair == PAIR_MU_NU:
+        from .compositions import mu, nu
+
         for c in iter_compositions(n):
             key = (mu(c), nu(c))
             counts[key] = counts.get(key, 0) + 1

@@ -22,9 +22,11 @@ renumbered roots as its view and builds its blocks only when read;
 reduce_core alone builds blocks, those of the core, which over [m],
 m <= N_MAX_HARD, it looks up by mask in partition._BY_MASK, the one
 table of shared block tuples.  The exhaustive
-checks sweep millions of partitions on growth strings alone; phi_trace
-keeps the readable record-based computation on blocks, and the two
-paths are compared exhaustively in the tests.
+checks sweep millions of partitions on growth strings alone.  The
+readable record-based computation on blocks, phi_trace, lives in
+separate beside the operations it composes, and this module imports
+nothing from there, so the CLI's one-partition maps never compile it;
+the two paths are compared exhaustively in the tests.
 
 A full scan per step makes a strip O(m x steps) on a support of size m,
 and nested inputs take about m/2 steps.  So once its scans would pass
@@ -33,8 +35,6 @@ list of the live elements, and is O(m) on every input.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .partition import (
     _BITS,
@@ -47,7 +47,6 @@ from .partition import (
     _renumber,
     require_full_support,
 )
-from .separate import ROLE_ST, SeparationRecord, combine_st, separate_is
 
 # Passes over the support a strip may scan before it moves to the
 # worklist: a worklist from the first step cost 35% more in phi over all
@@ -240,70 +239,6 @@ def reduce_core(p: SetPartition) -> SetPartition:
     """
     _, labels, bid = _ranks_of(p)
     return _core(_strip(bid, p._sizes, False)[0], bid, labels)
-
-
-class ForwardRow(NamedTuple):
-    j: int
-    rho: SetPartition
-    initiators: frozenset
-    singletons: frozenset
-
-
-class ReverseRow(NamedTuple):
-    j: int
-    tau: SetPartition
-
-
-class PhiTrace(NamedTuple):
-    """Full record of one phi computation.
-
-    forward_rows[j-1] holds (j, rho_j, I_j, S_j) for j = 1..k, where
-    separate_is(rho_{j-1}) = (rho_j, I_j, S_j) and rho_0 is the input.
-    reverse_rows runs j = k down to 0 with tau_k = rho_k and
-    tau_{j-1} = combine_st(tau_j, I_j, S_j); tau_0 = phi(input).
-    """
-
-    forward_rows: tuple[ForwardRow, ...]
-    reverse_rows: tuple[ReverseRow, ...]
-    k: int
-
-    @property
-    def core(self) -> SetPartition:
-        return self.reverse_rows[0].tau
-
-    @property
-    def result(self) -> SetPartition:
-        return self.reverse_rows[-1].tau
-
-
-def _reinsert(tau: SetPartition, rec: SeparationRecord) -> SetPartition:
-    """tau_{j-1} from tau_j and the record (rho_j, I_j, S_j) of step j."""
-    return combine_st(SeparationRecord(tau, rec.a_set, rec.b_set, ROLE_ST))
-
-
-def phi_trace(p: SetPartition) -> PhiTrace:
-    """Run phi through the record-based operations, keeping every row."""
-    records = []
-    rho = p
-    while True:
-        rec = separate_is(rho)
-        if not rec.a_set and not rec.b_set:
-            break
-        if len(rec.rho.support) >= len(rho.support):
-            raise RuntimeError(f"strip step made no progress on {rho.blocks}")
-        records.append(rec)
-        rho = rec.rho
-    k = len(records)
-    forward = tuple(
-        ForwardRow(j, rec.rho, rec.a_set, rec.b_set)
-        for j, rec in enumerate(records, start=1)
-    )
-    reverse = [ReverseRow(k, rho)]
-    tau = rho
-    for j in range(k - 1, -1, -1):
-        tau = _reinsert(tau, records[j])
-        reverse.append(ReverseRow(j, tau))
-    return PhiTrace(forward, tuple(reverse), k)
 
 
 def conjugate(p: SetPartition, n: int) -> SetPartition:

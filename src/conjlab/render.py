@@ -7,10 +7,13 @@ output — so all renderings are golden-file testable.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .compositions import Composition, to_path
 from .partition import SetPartition, format_partition, partition_to_blocks, require_full_support
-from .phi import PhiTrace
+
+if TYPE_CHECKING:  # annotations only: render partition loads no composition or trace code
+    from .compositions import Composition
+    from .separate import PhiTrace
 
 
 def _format_set(elems) -> str:
@@ -171,4 +174,6 @@ def render_path_ascii(c: Composition) -> str:
 
 def render_path(c: Composition) -> str:
     """E/N step string plus the dot diagram."""
+    from .compositions import to_path
+
     return to_path(c) + "\n" + render_path_ascii(c)

@@ -13,6 +13,10 @@ predecessor of an element of b_set inside the combined universe.  The
 domain is slightly larger than the set of records separate can emit, so
 combine(separate(p)) == p always holds but separate(combine(r)) == r can
 fail off that range; see the round-trip tests.
+
+phi_trace composes them into the record-based phi of the paper (strip
+with separate_is down to the core, re-insert with combine_st), keeping
+every row: the independent reference for the array kernels in phi.
 """
 
 from __future__ import annotations
@@ -153,3 +157,67 @@ def combine_st(rec: SeparationRecord, universe=None) -> SetPartition:
     """Insert a_set as singletons and b_set as adjacency terminators;
     universe is the sorted combined universe, if known."""
     return _checked_combine(rec, False, universe)
+
+
+class ForwardRow(NamedTuple):
+    j: int
+    rho: SetPartition
+    initiators: frozenset
+    singletons: frozenset
+
+
+class ReverseRow(NamedTuple):
+    j: int
+    tau: SetPartition
+
+
+class PhiTrace(NamedTuple):
+    """Full record of one phi computation.
+
+    forward_rows[j-1] holds (j, rho_j, I_j, S_j) for j = 1..k, where
+    separate_is(rho_{j-1}) = (rho_j, I_j, S_j) and rho_0 is the input.
+    reverse_rows runs j = k down to 0 with tau_k = rho_k and
+    tau_{j-1} = combine_st(tau_j, I_j, S_j); tau_0 = phi(input).
+    """
+
+    forward_rows: tuple[ForwardRow, ...]
+    reverse_rows: tuple[ReverseRow, ...]
+    k: int
+
+    @property
+    def core(self) -> SetPartition:
+        return self.reverse_rows[0].tau
+
+    @property
+    def result(self) -> SetPartition:
+        return self.reverse_rows[-1].tau
+
+
+def _reinsert(tau: SetPartition, rec: SeparationRecord) -> SetPartition:
+    """tau_{j-1} from tau_j and the record (rho_j, I_j, S_j) of step j."""
+    return combine_st(SeparationRecord(tau, rec.a_set, rec.b_set, ROLE_ST))
+
+
+def phi_trace(p: SetPartition) -> PhiTrace:
+    """Run phi through the record-based operations, keeping every row."""
+    records = []
+    rho = p
+    while True:
+        rec = separate_is(rho)
+        if not rec.a_set and not rec.b_set:
+            break
+        if len(rec.rho.support) >= len(rho.support):
+            raise RuntimeError(f"strip step made no progress on {rho.blocks}")
+        records.append(rec)
+        rho = rec.rho
+    k = len(records)
+    forward = tuple(
+        ForwardRow(j, rec.rho, rec.a_set, rec.b_set)
+        for j, rec in enumerate(records, start=1)
+    )
+    reverse = [ReverseRow(k, rho)]
+    tau = rho
+    for j in range(k - 1, -1, -1):
+        tau = _reinsert(tau, records[j])
+        reverse.append(ReverseRow(j, tau))
+    return PhiTrace(forward, tuple(reverse), k)

@@ -82,14 +82,16 @@ from .partition import (
     format_partition,
     parse_partition,
 )
-from .phi import _core, _phi_growth, _reinsert, conjugate, phi, phi_inverse, phi_trace, reduce_core
+from .phi import _core, _phi_growth, conjugate, phi, phi_inverse, reduce_core
 from .separate import (
     ROLE_IS,
     ROLE_ST,
     SeparationRecord,
+    _reinsert,
     combine_domain_ok,
     combine_is,
     combine_st,
+    phi_trace,
     separate_is,
     separate_st,
 )

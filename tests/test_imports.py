@@ -17,9 +17,10 @@ import conjlab
 
 SRC = str(Path(conjlab.__file__).resolve().parents[1])
 
-# Modules that only verify, render, enumerate, comp and kreweras need.
+# Modules that only verify, trace, render, enumerate, comp and kreweras need.
 DEFERRED = (
     "conjlab.verify",
+    "conjlab.separate",
     "conjlab.render",
     "conjlab.enumeration",
     "conjlab.compositions",
@@ -114,8 +115,54 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 
 
 def loaded_after(code: str) -> set[str]:
-    out = run_python("-c", code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))")
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    """The modules loaded after running code, printed with repr on stderr
+    so that neither json nor the code's own output enters the list."""
+    out = run_python("-c", code + "\nimport sys; print(repr(sorted(sys.modules)), file=sys.stderr)")
+    return set(ast.literal_eval(out.stderr.splitlines()[-1]))
+
+
+def command_modules(argv: list[str]) -> set[str]:
+    """The modules loaded by one run of python -m conjlab argv."""
+    return loaded_after(
+        "import runpy, sys\n"
+        f"sys.argv = ['conjlab', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('conjlab', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+
+
+def package_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "conjlab"}
+
+
+# The commands of the benchmark's cli-oneshot mix, each with the package
+# modules it loads beyond the start-up.
+ONESHOT = [
+    (["phi", "1 - 2 - 3 11 12 - 4 7 10 - 5 9 - 6 8"], set()),
+    (["trace", "1 - 2 - 3 11 12 - 4 7 10 - 5 9 - 6 8"], {"separate", "render"}),
+    (["conjugate", "1 5 8 - 2 - 3 - 4 - 6 7"], set()),
+    (["kreweras", "1 5 8 - 2 - 3 - 4 - 6 7"], {"noncrossing"}),
+    (["comp", "conjugate", "2,1,2,3"], {"compositions"}),
+    (["render", "path", "2,1,2,3"], {"render", "compositions"}),
+    (["enumerate", "--n", "6", "--table", "sing-adj"], {"enumeration"}),
+]
+
+
+def command_id(argv: list[str]) -> str:
+    return "-".join(argv[:2])
+
+
+# cli-oneshot times this start-up, and without cached bytecode every module
+# on it is compiled on each call: adding one shows there.
+START_UP = {
+    "conjlab",
+    "conjlab.cli",
+    "conjlab.errors",
+    "conjlab.partition",
+    "conjlab.phi",
+}
 
 
 class TestDeferredImports:
@@ -123,34 +170,25 @@ class TestDeferredImports:
         assert loaded_after("import conjlab.cli").isdisjoint(DEFERRED)
 
     def test_phi_command_loads_no_deferred_module(self):
-        modules = self.phi_command_modules()
+        modules = command_modules(["phi", "1 3 - 2 4"])
         assert "conjlab.phi" in modules
         assert modules.isdisjoint(DEFERRED)
 
     def test_cli_start_up_loads_these_package_modules(self):
-        # cli-oneshot times this start-up, and without cached bytecode every
-        # module on it is compiled on each call: adding one shows there.
-        start_up = {
-            "conjlab",
-            "conjlab.cli",
-            "conjlab.errors",
-            "conjlab.partition",
-            "conjlab.phi",
-            "conjlab.separate",
-        }
-        for modules in (loaded_after("import conjlab.cli"), self.phi_command_modules()):
-            assert {m for m in modules if m.split(".")[0] == "conjlab"} == start_up
+        for modules in (loaded_after("import conjlab.cli"), command_modules(["phi", "1 3 - 2 4"])):
+            assert package_modules(modules) == START_UP
 
-    @staticmethod
-    def phi_command_modules() -> set[str]:
-        return loaded_after(
-            "import runpy, sys\n"
-            "sys.argv = ['conjlab', 'phi', '1 3 - 2 4']\n"
-            "try:\n"
-            "    runpy.run_module('conjlab', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-        )
+    # A command compiles only what it runs: the cli-oneshot mix, and two
+    # commands that build no composition.
+    COMMANDS = ONESHOT + [
+        (["enumerate", "--noncrossing", "--n", "4"], {"enumeration", "noncrossing"}),
+        (["render", "partition", "1 3 - 2 4"], {"render"}),
+    ]
+
+    @pytest.mark.parametrize("argv, extra", COMMANDS, ids=[command_id(a) for a, _ in COMMANDS])
+    def test_command_loads_only_what_it_runs(self, argv, extra):
+        want = START_UP | {f"conjlab.{name}" for name in extra}
+        assert package_modules(command_modules(argv)) == want
 
     def test_table_choices_match_enumeration(self):
         from conjlab.cli import TABLE_PAIRS
@@ -179,48 +217,21 @@ class TestDeferredImports:
 
 class TestHeavyStdlibModules:
     """No command loads dataclasses (which brings inspect, ast, dis and
-    tokenize), and only --json loads json.  loaded_after imports json
-    itself, so these checks print the module list with repr on stderr."""
+    tokenize), and only --json loads json."""
 
     HEAVY = ("dataclasses", "inspect", "json")
-    # The commands of the benchmark's cli-oneshot mix.
-    COMMANDS = [
-        ["phi", "1 - 2 - 3 11 12 - 4 7 10 - 5 9 - 6 8"],
-        ["trace", "1 - 2 - 3 11 12 - 4 7 10 - 5 9 - 6 8"],
-        ["conjugate", "1 5 8 - 2 - 3 - 4 - 6 7"],
-        ["kreweras", "1 5 8 - 2 - 3 - 4 - 6 7"],
-        ["comp", "conjugate", "2,1,2,3"],
-        ["render", "path", "2,1,2,3"],
-        ["enumerate", "--n", "6", "--table", "sing-adj"],
-    ]
 
-    @staticmethod
-    def modules_after(code: str) -> set[str]:
-        out = run_python("-c", code + "\nimport sys; print(repr(sorted(sys.modules)), file=sys.stderr)")
-        return set(ast.literal_eval(out.stderr.splitlines()[-1]))
-
-    def modules_after_command(self, argv: list[str]) -> set[str]:
-        code = (
-            "import runpy, sys\n"
-            f"sys.argv = ['conjlab', *{argv!r}]\n"
-            "try:\n"
-            "    runpy.run_module('conjlab', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-        )
-        return self.modules_after(code)
-
-    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+    @pytest.mark.parametrize("argv", [argv for argv, _ in ONESHOT], ids=command_id)
     def test_command_loads_none(self, argv):
-        assert self.modules_after_command(argv).isdisjoint(self.HEAVY)
+        assert command_modules(argv).isdisjoint(self.HEAVY)
 
     def test_json_flag_loads_json(self):
-        modules = self.modules_after_command(["--json", "phi", "1 3 - 2 4"])
+        modules = command_modules(["--json", "phi", "1 3 - 2 4"])
         assert "json" in modules
         assert "dataclasses" not in modules
 
     def test_verify_module_loads_no_dataclasses(self):
-        modules = self.modules_after("import conjlab.verify")
+        modules = loaded_after("import conjlab.verify")
         assert "conjlab.verify" in modules
         assert modules.isdisjoint(("dataclasses", "inspect"))
 

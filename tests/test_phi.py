@@ -22,6 +22,7 @@ from conftest import all_partitions
 
 P = parse_partition
 phi_module = importlib.import_module("conjlab.phi")
+separate_module = importlib.import_module("conjlab.separate")
 
 WORKED = P("1 - 2 - 3 11 12 - 4 7 10 - 5 9 - 6 8")
 WORKED_FORWARD = [
@@ -219,7 +220,7 @@ class TestTraceRecords:
         def stalled(rho):
             return SeparationRecord(rho, frozenset(rho.support[:1]), frozenset(), ROLE_IS)
 
-        monkeypatch.setattr(phi_module, "separate_is", stalled)
+        monkeypatch.setattr(separate_module, "separate_is", stalled)
         with pytest.raises(RuntimeError, match="no progress"):
             phi_trace(P("1 3 - 2"))
 

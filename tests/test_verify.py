@@ -188,7 +188,7 @@ class TestMutationDetection:
     def test_corrupted_reverse_insertion_is_caught(self, monkeypatch):
         # A deliberately wrong combine_st (merge with successor instead of
         # predecessor) must be detected even at tiny sizes.
-        monkeypatch.setattr(phi_module, "combine_st", corrupted_combine_st)
+        monkeypatch.setattr(separate_module, "combine_st", corrupted_combine_st)
         report = verify_suite(n_max=3, comp_n_max=2, jobs=1)
         assert not report.ok
         failure = report.first_failure()
@@ -600,7 +600,7 @@ class TestTraceTailCache:
             "prof.terminators",
         )
         return [
-            ("combine_st", [(phi_module, "combine_st", corrupted_combine_st)]),
+            ("combine_st", [(separate_module, "combine_st", corrupted_combine_st)]),
             ("_combine", [(separate_module, "_combine", off_by_one)]),
             (
                 "separate_st",
