@@ -18,8 +18,8 @@ Commands::
 Every command is deterministic: identical invocation gives byte-identical
 output.  ``--json`` (global or per command) switches to structured output.
 
-Exit codes: 0 success, 1 parse/usage error, 2 domain error, 3 verification
-or symmetry failure, 4 I/O error.
+Exit codes: 0 success, 1 parse/usage error, 2 domain error (including an
+input above its cap), 3 verification or symmetry failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ ENUM_BELL_CAP = 1000
 # grows with n: the path has n - 1 steps, and the dot diagram of (2, ..., 2)
 # holds about n^2 / 8 characters (0.5 MB at the cap).
 COMPOSITION_N_CAP = 2000
+# Largest number of elements of a partition given to trace.  phi_trace
+# keeps every row, so a nested input of m elements costs O(m^2) memory:
+# a rainbow of 1,000 elements peaks near 75 MB and prints 4 MB.
+TRACE_N_CAP = 1000
 # The --table choices, enumeration's PAIR_SING_ADJ and PAIR_MU_NU, spelled
 # out so that building the parser does not import enumeration.
 TABLE_PAIRS = ("sing-adj", "mu-nu")
@@ -103,6 +107,9 @@ def cmd_trace(args, use_json: bool) -> int:
     from .separate import phi_trace
 
     p = parse_partition(args.partition)
+    m = sum(map(len, p.blocks))
+    if m > TRACE_N_CAP:
+        raise DomainError(f"partition of {m} elements is above the trace cap of {TRACE_N_CAP}")
     trace = phi_trace(p)
     payload = {"input": partition_to_blocks(p)}
     payload.update(trace_to_dict(trace))

@@ -26,7 +26,6 @@ from .partition import (
     SetPartition,
     _complement,
     _partition,
-    _ranks_of,
     _renumber,
     require_full_support,
 )
@@ -78,7 +77,7 @@ def find_crossing(p: SetPartition):
     sizes = p._sizes
     if len(sizes) < 2:
         return None
-    _, labels, bid = _ranks_of(p)
+    _, labels, bid = p._view
     hit = _scan(bid, sizes)
     if hit is None:
         return None
@@ -90,7 +89,7 @@ def find_crossing(p: SetPartition):
 def is_noncrossing(p: SetPartition) -> bool:
     """True when no two blocks interleave."""
     sizes = p._sizes
-    return len(sizes) < 2 or _scan(_ranks_of(p)[2], sizes) is None
+    return len(sizes) < 2 or _scan(p._view[2], sizes) is None
 
 
 def kreweras_complement(p: SetPartition) -> SetPartition:

@@ -11,9 +11,10 @@ strip of phi, so their kernels work on the rank view (m, labels, g) of
 ranks(): g[r] is the block of rank r, blocks numbered by least element,
 so g is the restricted growth string of a partition of [m] (after a
 pad).  A SetPartition keeps the form it was built in, its blocks or its
-view with block sizes, and builds the other on first read.  The readers
-here and in phi and noncrossing take the view and the sizes, never the
-blocks; the public maps build their result with _partition from the
+view with block sizes; its blocks, _view, _sizes and support are kept
+attributes (_Kept), each made from that form on its first read.  The
+readers here and in phi and noncrossing take p._view and p._sizes, never
+the blocks; the public maps build their result with _partition from the
 keys a kernel gives (the transfer's roots, a reversed or rotated growth
 string), renumbered by _grow, the one builder.  The maps defined only on
 partitions of exactly [n] take their input's growth string from
@@ -22,10 +23,11 @@ require_full_support, the one check of that support.
 Every block tuple of a partition of [m], m <= N_MAX_HARD, that the
 library builds without labels is the entry of _BY_MASK for its mask of
 ranks, so results kept over an exhaustive sweep share one tuple per
-block.  _BY_MASK is the one table that decides which tuple a block gets;
-the enumeration hands over only growth strings and sizes.  It holds at
-most 2^12 - 1 = 4,095 entries, the nonempty subsets of [12], in about
-0.5 MB when full.
+block.  _BY_MASK, the one table that decides which tuple a block gets,
+holds at most 2^12 - 1 = 4,095 entries, the nonempty subsets of [12], in
+about 0.5 MB when full.  Only this module reads it: SetPartition.blocks
+for a view, and _core for the core blocks of phi's strip; the
+enumeration hands over only growth strings and sizes.
 
 Text form: blocks joined by " - ", elements by single spaces; the empty
 partition is the empty string.
@@ -69,30 +71,6 @@ class _Kept:
         return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
 
 
-class _Blocks:
-    """SetPartition.blocks of a partition built from its view, made on first
-    read and kept.  Over [m], m <= N_MAX_HARD, without labels they are the
-    _BY_MASK entries of the block masks read from g."""
-
-    def __get__(self, p, owner=None):
-        if p is None:
-            return self
-        m, labels, g = p._view
-        if labels is None and 0 < m <= N_MAX_HARD:
-            masks = [0] * len(p._sizes)
-            for bit, b in zip(_BITS, g):
-                masks[b] += bit
-            blocks = p.__dict__["blocks"] = tuple(map(_BY_MASK.__getitem__, masks))
-            return blocks
-        lists: list[list[int]] = [[] for _ in p._sizes]
-        ranked = zip(labels or range(m + 1), g)
-        next(ranked)  # the pad
-        for x, b in ranked:
-            lists[b].append(x)
-        blocks = p.__dict__["blocks"] = tuple(map(tuple, lists))
-        return blocks
-
-
 class _Frozen:
     """A value of one field, named in _field, set by object.__setattr__."""
 
@@ -119,17 +97,40 @@ class SetPartition(_Frozen):
 
     Construct through canonicalize() or parse_partition() unless the block
     data is already canonical (sorted within blocks, blocks sorted by
-    minimum, pairwise disjoint).  _view is the rank view (m, labels, g)
-    the partition was built from or has been ranked to, or None, and
-    _sizes its block sizes; they stay out of hash, repr and pickles.
+    minimum, pairwise disjoint).  A partition is built from its blocks
+    or from its rank view _view, (m, labels, g), with its block sizes
+    _sizes; blocks, _view, _sizes and support are kept attributes, each
+    made from the other form on its first read.  _view and _sizes stay
+    out of hash, repr and pickles.
     """
 
     _field = "blocks"
-    _view = None
-    blocks = _Blocks()
 
     def __init__(self, blocks: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "blocks", blocks)
+
+    @_Kept
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks of a partition built from its view.  Over [m],
+        m <= N_MAX_HARD, without labels they are the _BY_MASK entries of
+        the block masks read from g."""
+        m, labels, g = self._view
+        if labels is None and 0 < m <= N_MAX_HARD:
+            masks = [0] * len(self._sizes)
+            for bit, b in zip(_BITS, g):
+                masks[b] += bit
+            return tuple(map(_BY_MASK.__getitem__, masks))
+        lists: list[list[int]] = [[] for _ in self._sizes]
+        ranked = zip(labels or range(m + 1), g)
+        next(ranked)  # the pad
+        for x, b in ranked:
+            lists[b].append(x)
+        return tuple(map(tuple, lists))
+
+    @_Kept
+    def _view(self):
+        m, labels, bid = ranks(self.blocks)
+        return m, labels, tuple(bid)
 
     @_Kept
     def _sizes(self) -> list[int]:
@@ -138,7 +139,7 @@ class SetPartition(_Frozen):
     @_Kept
     def support(self) -> tuple[int, ...]:
         """All elements of the partition, increasing."""
-        if self._view is None:
+        if "_view" not in self.__dict__:
             return tuple(sorted(x for blk in self.blocks for x in blk))
         m, labels, _ = self._view
         return tuple(range(1, m + 1)) if labels is None else tuple(labels[1:])
@@ -147,7 +148,7 @@ class SetPartition(_Frozen):
         if other.__class__ is not SetPartition:
             return NotImplemented
         # Views over the same labels (or none) are equal when their growth strings are.
-        a, b = self._view, other._view
+        a, b = self.__dict__.get("_view"), other.__dict__.get("_view")
         if a is None or b is None or (a[1] is None) != (b[1] is None):
             return self.blocks == other.blocks
         return a[2] == b[2] and (a[1] is None or a[1][1:] == b[1][1:])
@@ -220,14 +221,6 @@ def ranks(blocks):
     return m, [0, *ranked], [0, *map(index.__getitem__, ranked)]
 
 
-def _ranks_of(p: SetPartition):
-    """The rank view of p, which p keeps once ranks(p.blocks) has made it."""
-    if p._view is None:
-        m, labels, bid = ranks(p.blocks)
-        p.__dict__["_view"] = (m, labels, tuple(bid))
-    return p._view
-
-
 def _grow(keys) -> tuple[tuple[int, ...], list[int]]:
     """(g, sizes): the growth string of the partition of [m] whose blocks
     are the ranks with equal keys, keys[r - 1] in 0..m the key of rank r,
@@ -258,6 +251,19 @@ def _partition(keys, labels=None) -> SetPartition:
     return _lazy((len(keys), labels, g), sizes)
 
 
+def _core(core, bid, labels=None) -> SetPartition:
+    """The core blocks of a forward strip of phi: its core ranks, which
+    it lists increasing, by block of bid; over [m], m <= N_MAX_HARD,
+    without labels each is the _BY_MASK entry of its mask."""
+    groups: dict[int, list[int]] = {}
+    for r in core:
+        groups.setdefault(bid[r], []).append(r if labels is None else labels[r])
+    blocks = map(tuple, groups.values())
+    if labels is None and len(bid) <= N_MAX_HARD + 1:
+        blocks = [_BY_MASK[sum(map(_BITS.__getitem__, b))] for b in groups.values()]
+    return SetPartition(tuple(blocks))
+
+
 def _profile(bid, sizes) -> tuple[list[int], list[int], list[int]]:
     """(initiators, terminators, singletons) of the growth string bid with
     block sizes sizes, as increasing rank lists; rank r terminates when its
@@ -286,7 +292,7 @@ def adjacency_profile(p: SetPartition) -> AdjacencyProfile:
     sizes = p._sizes
     if not sizes:
         return _EMPTY_PROFILE
-    _, labels, bid = _ranks_of(p)
+    _, labels, bid = p._view
     ini, ter, sing = _profile(bid, sizes)
     count = len(ini)
     if labels is not None:
@@ -317,7 +323,7 @@ def canonicalize(raw_blocks: Iterable[Iterable[int]]) -> SetPartition:
 def require_full_support(p: SetPartition, n: int):
     """The growth string of p, a partition of {1, ..., n}; DomainError
     unless that is its support: n ranks whose labels, if any, end at n."""
-    m, labels, bid = _ranks_of(p)
+    m, labels, bid = p._view
     if n < 1 or m != n or labels is not None and labels[-1] != n:
         got = format_partition(p) or "(empty)"
         raise DomainError(f"support of {got!r} is not 1..{n}")
@@ -327,7 +333,7 @@ def require_full_support(p: SetPartition, n: int):
 def inferred_n(p: SetPartition) -> int:
     """The n with supp(p) = {1..n}; DomainError if the support has gaps.
     n is the number of elements, and require_full_support decides."""
-    n = _ranks_of(p)[0]
+    n = p._view[0]
     require_full_support(p, n)
     return n
 
@@ -344,7 +350,7 @@ def complement(p: SetPartition, n: int) -> SetPartition:
 def _complement(k: SetPartition) -> SetPartition:
     """The complement of a Kreweras complement k, which carries the view
     of a partition of [n] (or is empty): no support to check."""
-    return _relabel(_ranks_of(k)[2], _partition)
+    return _relabel(k._view[2], _partition)
 
 
 def _relabel(g, build=_renumber):

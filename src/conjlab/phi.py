@@ -19,14 +19,13 @@ the result.  phi, phi_inverse, reduce_core and conjugate are adapters
 that read a partition's rank view and block sizes, never its blocks,
 and hand the roots to partition._partition, whose result holds the
 renumbered roots as its view and builds its blocks only when read;
-reduce_core alone builds blocks, those of the core, which over [m],
-m <= N_MAX_HARD, it looks up by mask in partition._BY_MASK, the one
-table of shared block tuples.  The exhaustive
-checks sweep millions of partitions on growth strings alone.  The
-readable record-based computation on blocks, phi_trace, lives in
-separate beside the operations it composes, and this module imports
-nothing from there, so the CLI's one-partition maps never compile it;
-the two paths are compared exhaustively in the tests.
+reduce_core alone builds blocks, those of the core, and it takes them
+from partition._core, since partition alone picks the tuple of a block.
+The exhaustive checks sweep millions of partitions on growth strings
+alone.  The readable record-based computation on blocks, phi_trace,
+lives in separate beside the operations it composes, and this module
+imports nothing from there, so the CLI's one-partition maps never
+compile it; the two paths are compared exhaustively in the tests.
 
 A full scan per step makes a strip O(m x steps) on a support of size m,
 and nested inputs take about m/2 steps.  So once its scans would pass
@@ -37,12 +36,9 @@ list of the live elements, and is O(m) on every input.
 from __future__ import annotations
 
 from .partition import (
-    _BITS,
-    _BY_MASK,
-    N_MAX_HARD,
     SetPartition,
+    _core,
     _partition,
-    _ranks_of,
     _relabel,
     _renumber,
     require_full_support,
@@ -194,22 +190,9 @@ def _phi_growth(bid, sizes, invert: bool = False, build=_renumber):
     return build(_transfer(bid, strip, invert)[1:]), strip[0]
 
 
-def _core(core, bid, labels=None) -> SetPartition:
-    """The core blocks of a forward strip: its core ranks, which it lists
-    increasing, by block of bid; over [m], m <= N_MAX_HARD, without labels
-    each is the _BY_MASK entry of its mask."""
-    groups: dict[int, list[int]] = {}
-    for r in core:
-        groups.setdefault(bid[r], []).append(r if labels is None else labels[r])
-    blocks = map(tuple, groups.values())
-    if labels is None and len(bid) <= N_MAX_HARD + 1:
-        blocks = [_BY_MASK[sum(map(_BITS.__getitem__, b))] for b in groups.values()]
-    return SetPartition(tuple(blocks))
-
-
 def _map(p: SetPartition, invert: bool):
     """The rank view of p and the roots of phi, or phi_inverse, on it."""
-    view = _ranks_of(p)
+    view = p._view
     bid = view[2]
     return view, _transfer(bid, _strip(bid, p._sizes, invert), invert)
 
@@ -237,7 +220,7 @@ def reduce_core(p: SetPartition) -> SetPartition:
 
     Empty exactly when p is noncrossing.
     """
-    _, labels, bid = _ranks_of(p)
+    _, labels, bid = p._view
     return _core(_strip(bid, p._sizes, False)[0], bid, labels)
 
 

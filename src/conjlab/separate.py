@@ -9,10 +9,13 @@ matching separate on every record a separate call actually produces.
 Both combine operations share one domain test, combine_domain_ok: either
 the one-element form (empty rho, a_set == b_set == {a}), or the three
 element sets are pairwise disjoint and no element of a_set is the cyclic
-predecessor of an element of b_set inside the combined universe.  The
-domain is slightly larger than the set of records separate can emit, so
-combine(separate(p)) == p always holds but separate(combine(r)) == r can
-fail off that range; see the round-trip tests.
+predecessor of an element of b_set inside the combined universe, the
+union of the three sets.  Each takes the record alone and works out its
+universe itself; a combine sorts it once, for its domain test and its
+merge alike.  The domain is slightly larger than the set of records
+separate can emit, so combine(separate(p)) == p always holds but
+separate(combine(r)) == r can fail off that range; see the round-trip
+tests.
 
 phi_trace composes them into the record-based phi of the paper (strip
 with separate_is down to the core, re-insert with combine_st), keeping
@@ -74,32 +77,35 @@ def separate_st(p: SetPartition) -> SeparationRecord:
     return SeparationRecord(rho, prof.singletons, prof.terminators, ROLE_ST)
 
 
-def combine_domain_ok(rec: SeparationRecord, universe=None) -> bool:
+def combine_domain_ok(rec: SeparationRecord) -> bool:
     """Shared acceptance test for combine_is and combine_st.
 
     Deliberately ignores rec.role: both combine directions accept exactly
-    the same records.  universe is the sorted combined universe, if known.
+    the same records.
     """
-    rho, a_set, b_set = rec.rho, rec.a_set, rec.b_set
-    if not rho.blocks and a_set == b_set and len(a_set) == 1:
-        return True
+    return _domain_universe(rec.rho, rec.a_set, rec.b_set) is not None
+
+
+def _domain_universe(rho: SetPartition, a_set, b_set) -> list[int] | None:
+    """The sorted combined universe of the record (rho, a_set, b_set), or
+    None when the record is outside the combine domain."""
     supp = rho.support
+    universe = sorted(a_set.union(supp, b_set))
+    if not rho.blocks and a_set == b_set and len(a_set) == 1:
+        return universe
     if not (a_set.isdisjoint(supp) and b_set.isdisjoint(supp) and a_set.isdisjoint(b_set)):
-        return False
-    if universe is None:
-        universe = sorted(a_set.union(supp, b_set))
-    if not universe:
-        return True
-    prev = universe[-1]
+        return None
+    prev = universe[-1] if universe else None
     for x in universe:
         if prev in a_set and x in b_set:
-            return False
+            return None
         prev = x
-    return True
+    return universe
 
 
-def _combine(rho: SetPartition, a_set, b_set, with_succ: bool, universe=None) -> SetPartition:
-    """Union-find merge over the sorted combined universe (built if not given).
+def _combine(rho: SetPartition, a_set, b_set, with_succ: bool) -> SetPartition | None:
+    """Union-find merge over the sorted combined universe; None when the
+    record (rho, a_set, b_set) is outside the combine domain.
 
     with_succ: each element of a_set joins the block of its cyclic
     successor (insertion as initiator).  Otherwise each element of b_set
@@ -107,8 +113,9 @@ def _combine(rho: SetPartition, a_set, b_set, with_succ: bool, universe=None) ->
     Unmerged new elements remain singleton blocks.  The merge order is
     irrelevant: the result only depends on which pairs get unioned.
     """
+    universe = _domain_universe(rho, a_set, b_set)
     if universe is None:
-        universe = sorted(a_set.union(rho.support, b_set))
+        return None
     if not universe:
         return EMPTY
     index = {x: i for i, x in enumerate(universe)}
@@ -137,26 +144,22 @@ def _combine(rho: SetPartition, a_set, b_set, with_succ: bool, universe=None) ->
     return SetPartition(tuple(map(tuple, groups.values())))
 
 
-def _checked_combine(rec: SeparationRecord, with_succ: bool, universe=None) -> SetPartition:
-    """_combine of a record in the domain, on one sorted universe (built
-    if not given)."""
-    if universe is None:
-        universe = sorted(rec.a_set.union(rec.rho.support, rec.b_set))
-    if not combine_domain_ok(rec, universe):
+def _checked_combine(rec: SeparationRecord, with_succ: bool) -> SetPartition:
+    """_combine of a record; CombineDomainError outside the domain."""
+    combined = _combine(rec.rho, rec.a_set, rec.b_set, with_succ)
+    if combined is None:
         raise CombineDomainError(f"record outside combine domain: {rec}")
-    return _combine(rec.rho, rec.a_set, rec.b_set, with_succ, universe)
+    return combined
 
 
-def combine_is(rec: SeparationRecord, universe=None) -> SetPartition:
-    """Insert a_set as adjacency initiators and b_set as singletons;
-    universe is the sorted combined universe, if known."""
-    return _checked_combine(rec, True, universe)
+def combine_is(rec: SeparationRecord) -> SetPartition:
+    """Insert a_set as adjacency initiators and b_set as singletons."""
+    return _checked_combine(rec, True)
 
 
-def combine_st(rec: SeparationRecord, universe=None) -> SetPartition:
-    """Insert a_set as singletons and b_set as adjacency terminators;
-    universe is the sorted combined universe, if known."""
-    return _checked_combine(rec, False, universe)
+def combine_st(rec: SeparationRecord) -> SetPartition:
+    """Insert a_set as singletons and b_set as adjacency terminators."""
+    return _checked_combine(rec, False)
 
 
 class ForwardRow(NamedTuple):

@@ -74,6 +74,7 @@ from .noncrossing import _kreweras, _rotate, _scan, kreweras_complement
 from .partition import (
     EMPTY,
     SetPartition,
+    _core,
     _grow,
     _partition,
     _profile,
@@ -82,7 +83,7 @@ from .partition import (
     format_partition,
     parse_partition,
 )
-from .phi import _core, _phi_growth, conjugate, phi, phi_inverse, reduce_core
+from .phi import _phi_growth, conjugate, phi, phi_inverse, reduce_core
 from .separate import (
     ROLE_IS,
     ROLE_ST,
@@ -287,19 +288,17 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             row = "separate-records-in-domain"
             rec_is = separate_is(p)
             rec_st = separate_st(p)
-            # Each record's universe, sorted once for its domain tests and combine.
-            u_is, u_st = (sorted(r.a_set.union(r.rho.support, r.b_set)) for r in (rec_is, rec_st))
-            is_ok = combine_domain_ok(rec_is, u_is)
+            is_ok = combine_domain_ok(rec_is)
             combined = None  # combine_is(rec_is), once built for this p
-            if not (is_ok and combine_domain_ok(rec_st, u_st)):
+            if not (is_ok and combine_domain_ok(rec_st)):
                 _fail(fails, row, text())
             else:
                 row = "separate-combine-roundtrip"
-                if (combined := combine_is(rec_is, u_is)) != p or combine_st(rec_st, u_st) != p:
+                if (combined := combine_is(rec_is)) != p or combine_st(rec_st) != p:
                     _fail(fails, row, text())
             row = "combine-domain-role-symmetry"
             retagged = SeparationRecord(rec_is.rho, rec_is.a_set, rec_is.b_set, ROLE_ST)
-            if combine_domain_ok(retagged, u_is) != is_ok:
+            if combine_domain_ok(retagged) != is_ok:
                 _fail(fails, row, text())
             row = "phi-support-preserved"
             (qg, qsizes), core = _phi_growth(g, sizes, False, _grow)
@@ -332,7 +331,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
                     tail = tails.get(rec_is.rho.blocks)
                     if tail is None:
                         tail = tails[rec_is.rho.blocks] = _trace_tail(rec_is.rho)
-                    back = combine_is(rec_is, u_is) if combined is None else combined
+                    back = combine_is(rec_is) if combined is None else combined
                     verdict = _with_step(tail, rec_is, back, _reinsert(tail[0], rec_is))
                 tau, inverse, exact = verdict
                 if tau != _partition(qg[1:]):

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 
 from conjlab import ParseError, bell_number, canonicalize, parse_composition, parse_partition, phi
-from conjlab.cli import COMPOSITION_N_CAP, ENUM_BELL_CAP, main
+from conjlab.cli import COMPOSITION_N_CAP, ENUM_BELL_CAP, TRACE_N_CAP, main
 
 # Pinned outputs of the benchmark, read-only here.
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -104,6 +104,21 @@ class TestCompositionCommands:
             assert code == 2
             assert out == ""
             assert err.startswith("conjlab: error:")
+
+    def test_trace_cap(self, capsys):
+        # A trace keeps every row, so a nested input costs memory quadratic
+        # in its size: one above the cap is refused before it is traced.
+        code, out, _ = run_cli(capsys, "trace", " - ".join(map(str, range(1, TRACE_N_CAP + 1))))
+        assert code == 0 and out
+        m = TRACE_N_CAP + 1
+        rainbow = " - ".join(" ".join(map(str, {i, m + 1 - i})) for i in range(1, (m + 1) // 2 + 1))
+        assert len(parse_partition(rainbow).support) == m
+        code, out, err = run_cli(capsys, "trace", rainbow)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"conjlab: error: partition of {m} elements is above the trace cap of {TRACE_N_CAP}\n"
+        )
 
     @pytest.mark.parametrize(
         "case", json.loads(EXPECTED.read_text())["cli"], ids=lambda case: case["name"]

@@ -69,6 +69,32 @@ def test_a_bare_partition_is_ranked_at_most_once(monkeypatch, sparse_samples):
     assert calls == []
 
 
+def view_built(p: SetPartition) -> SetPartition:
+    """p built from its rank view and block sizes, as the enumeration and
+    the maps build a partition."""
+    m, labels, g = partition.ranks(p.blocks)
+    return partition._lazy((m, labels, tuple(g)), [*map(len, p.blocks)])
+
+
+@pytest.mark.parametrize("name", ["blocks", "_view", "_sizes", "support"])
+def test_each_kept_attribute_is_built_at_most_once(monkeypatch, sparse_samples, name):
+    # Each is built on its first read, and never when the partition was
+    # built with it.
+    kept = vars(SetPartition)[name]
+    inner = kept.func
+    builds = []
+    monkeypatch.setattr(kept, "func", lambda p: builds.append(p) or inner(p))
+    viewed = [p for n in range(6) for p in iter_set_partitions(n)]
+    viewed += [view_built(p) for p in sparse_samples]
+    for p in viewed + [SetPartition(p.blocks) for p in viewed]:
+        given = set(vars(p))
+        builds.clear()
+        for _ in range(2):
+            for attr in ("blocks", "_view", "_sizes", "support"):
+                getattr(p, attr)
+        assert builds == ([] if name in given else [p]), (str(p), sorted(given))
+
+
 def eager(p: SetPartition) -> SetPartition:
     """p built from blocks that its growth string gives, read by hand."""
     m, labels, g = p._view
@@ -134,7 +160,8 @@ def test_lazy_and_eager_partitions_agree(read_support):
         data = pickle.dumps(lazy, 4)
         assert data == pickle.dumps(want, 4), str(want)
         back = pickle.loads(data)
-        assert back == want and back._view is None and ("support" in vars(back)) == read_support
+        assert back == want and "_view" not in vars(back)
+        assert ("support" in vars(back)) == read_support
         assert twin == lazy and lazy == want and want == twin
         assert hash(twin) == hash(want)
         assert repr(twin) == repr(want) and str(twin) == str(want)
@@ -158,8 +185,8 @@ def test_a_headline_sweep_builds_no_block(monkeypatch):
     # and sizes alone: the builder of blocks never runs.
     builds = []
     built = vars(SetPartition)["blocks"]
-    inner = type(built).__get__
-    monkeypatch.setattr(type(built), "__get__", lambda d, p, t=None: builds.append(p) or inner(d, p, t))
+    inner = built.func
+    monkeypatch.setattr(built, "func", lambda p: builds.append(p) or inner(p))
     n, full, count = 8, tuple(range(1, 9)), 0
     for p in iter_set_partitions(n):
         prof = adjacency_profile(p)

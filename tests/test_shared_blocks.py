@@ -2,12 +2,15 @@
 bounded table keyed by block mask (partition._BY_MASK), and sharing them
 changes no value."""
 
+import ast
 import gc
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import conjlab
 from conjlab import (
     DomainError,
     SetPartition,
@@ -138,3 +141,22 @@ def test_shared_results_are_the_values_of_fresh_ones(n):
         assert q == f and hash(q) == hash(f) and repr(q) == repr(f)
         assert pickle.dumps(q, 4) == pickle.dumps(f, 4)
     assert pickle.loads(pickle.dumps(results, 4)) == results
+
+
+def test_only_partition_names_the_block_table():
+    # partition.py alone decides which tuple a block gets: no other module
+    # of the package names the table or the bits of its masks.
+    sources = sorted(Path(conjlab.__file__).parent.glob("*.py"))
+    assert any(path.name == "phi.py" for path in sources)
+    for path in sources:
+        if path.name == "partition.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & {"_BY_MASK", "_BITS"}, path.name

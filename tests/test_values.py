@@ -249,7 +249,7 @@ def test_viewed_inputs_get_the_same_support_verdict(name):
     ],
 )
 def test_viewed_support_errors_name_the_input(p, n, message):
-    assert p._view is not None
+    assert "_view" in vars(p)
     for fn in (conjugate, complement):
         with pytest.raises(DomainError) as err:
             fn(p, n)
@@ -261,4 +261,4 @@ def test_a_view_of_one_to_m_is_not_measured(monkeypatch):
     monkeypatch.setattr(partition, "support_size", None)
     for p in iter_set_partitions(5):
         assert conjugate(conjugate(p, 5), 5) == p
-        assert complement(phi_module.phi(p), 5)._view is not None
+        assert "_view" in vars(complement(phi_module.phi(p), 5))

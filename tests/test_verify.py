@@ -282,11 +282,11 @@ class TestRecordPrimitiveMutants:
     def test_domain_without_set_disjointness(self, monkeypatch):
         # Records that separate makes never repeat an element in both
         # sets, so only the one-element-convention probe sees this one.
+        # The domain test of combine_domain_ok and of both combines.
         mutant = source_mutant(
-            separate_module, "combine_domain_ok", " and a_set.isdisjoint(b_set)", ""
+            separate_module, "_domain_universe", " and a_set.isdisjoint(b_set)", ""
         )
-        monkeypatch.setattr(separate_module, "combine_domain_ok", mutant)
-        monkeypatch.setattr(verify_module, "combine_domain_ok", mutant)
+        monkeypatch.setattr(separate_module, "_domain_universe", mutant)
         report = verify_suite(n_max=4, comp_n_max=2)
         assert failing(report) == {"one-element-convention": "a=1"}
 
@@ -680,8 +680,8 @@ class TestTraceTailCache:
         # previous partition's would fail trace-record-inverse.
         real = verify_module.combine_domain_ok
 
-        def refuses_two_blocks(rec, universe=None):
-            return len(rec.rho.blocks) != 2 and real(rec, universe)
+        def refuses_two_blocks(rec):
+            return len(rec.rho.blocks) != 2 and real(rec)
 
         monkeypatch.setattr(verify_module, "combine_domain_ok", refuses_two_blocks)
         report = verify_suite(7, 2)
