@@ -221,11 +221,11 @@ def ranks(blocks):
     return m, [0, *ranked], [0, *map(index.__getitem__, ranked)]
 
 
-def _grow(keys) -> tuple[tuple[int, ...], list[int]]:
+def _grow(keys, top=None) -> tuple[tuple[int, ...], list[int]]:
     """(g, sizes): the growth string of the partition of [m] whose blocks
-    are the ranks with equal keys, keys[r - 1] in 0..m the key of rank r,
-    and its block sizes, in one pass."""
-    new = [-1] * (len(keys) + 1)
+    are the ranks with equal keys, keys[r - 1] in 0..top (m if None) the
+    key of rank r, and its block sizes, in one pass."""
+    new = [-1] * ((len(keys) if top is None else top) + 1)
     g = [0]
     sizes: list[int] = []
     for k in keys:

@@ -14,22 +14,20 @@ pool, costliest first.  Reports are byte-identical regardless of the job
 count: results are merged in task order (shards in prefix order), and
 the first counterexample in enumeration order is kept.
 
-A partition shard runs the map invariants (complement, phi, conjugate,
-noncrossing, Kreweras) on the growth strings that the enumeration hands
-over, through the array kernels of partition, phi and noncrossing, and
-keeps a phi image of growth strings.  The union of p and its Kreweras
-complement is one block-id array too, on the interleaved ranks 1..2n;
-the crossing scan reads it once, and once per pair of gap blocks merged.
-The shard reads no partition's blocks except on the record-based
-reference path (separate/combine, phi_trace) and for counterexample
-text.  A check that raises inside a shard, a composition sweep or the
+A partition shard runs every invariant on the growth strings that the
+enumeration hands over, through the array kernels of partition, phi and
+noncrossing, and those of separate for the record-based reference path
+(separate/combine and the trace); it keeps a phi image of growth strings
+and reads no partition's blocks but for counterexample text.  The union
+of p and its Kreweras complement is one block-id array too, on the
+interleaved ranks 1..2n; the crossing scan reads it once, and once per
+pair of gap blocks merged.  complement-involution also checks the
+relabel kernel against its definition, written out without it.  The
+trace of p is its first strip step and the trace of the remainder, which
+many partitions share, so each distinct remainder is traced once per
+shard.  A check that raises inside a shard, a composition sweep or the
 fixed checks fails its row, and its counterexample names the exception
 type.
-complement-involution also checks the relabel kernel against its
-definition, written out without it.  The record path checks each strip
-tail once per shard: phi_trace(p) is the step separate_is(p) and the
-trace of its remainder, which many partitions share, so each distinct
-remainder is traced once.
 
 Each family (partitions, compositions) has one invariant table listing
 (id, scope, largest n) rows in report order; the scope string and the
@@ -86,13 +84,14 @@ from .partition import (
 from .phi import _phi_growth, conjugate, phi, phi_inverse, reduce_core
 from .separate import (
     ROLE_IS,
-    ROLE_ST,
     SeparationRecord,
+    _combine,
     _reinsert,
+    _separate,
+    _trace,
     combine_domain_ok,
     combine_is,
     combine_st,
-    phi_trace,
     separate_is,
     separate_st,
 )
@@ -202,30 +201,32 @@ def _text(g) -> str:
     return format_partition(_partition(g[1:]))
 
 
-def _with_step(tail: tuple, rec: SeparationRecord, combined, tau) -> tuple:
+def _with_step(tail: tuple, step: tuple, back, tau, source=None) -> tuple:
     """The trace verdict (tau_0, first failing trace-record-inverse row,
     last failing reverse-phase-exactness row; 0 for none) of a partition
-    whose first strip step is rec, from tail, the verdict of rec.rho, whose
-    rows shift up by one.  combined is combine_is(rec), tau is tau_0."""
+    whose first strip step is step, (rho, I, S) from _separate, from tail,
+    the verdict of rho, whose rows shift up by one.  back is the combine_is
+    of step (None off the domain), tau is tau_0; source, if given, is the
+    partition whose _separate here gave step, so a back equal to it
+    separates into step again."""
     tau_1, inverse, exact = tail
-    if separate_is(combined)[:3] != rec[:3]:  # (rho, a_set, b_set)
+    if back is None or back != source and _separate(back, False) != step:
         inverse = 1
     elif inverse:
         inverse += 1
     if exact:
         exact += 1
-    elif separate_st(tau)[:3] != (tau_1, rec.a_set, rec.b_set):
+    elif _separate(tau, True) != (tau_1, *step[1:]):
         exact = 1
     return tau, inverse, exact
 
 
 def _trace_tail(rho: SetPartition) -> tuple:
-    """The trace verdict of rho (see _with_step), from phi_trace(rho)."""
-    trace = phi_trace(rho)
-    verdict = (trace.core, 0, 0)
-    for row, prev in zip(reversed(trace.forward_rows), trace.reverse_rows[1:]):
-        rec = SeparationRecord(*row[1:], ROLE_IS)
-        verdict = _with_step(verdict, rec, combine_is(rec), prev.tau)
+    """The trace verdict of rho (see _with_step), from its trace."""
+    steps, taus = _trace(rho)
+    verdict = (taus[0], 0, 0)
+    for step, tau in zip(reversed(steps), taus[1:]):
+        verdict = _with_step(verdict, step, _combine(*step, True), tau)
     return verdict
 
 
@@ -246,7 +247,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
     trace_on = n <= TRACE_CAP
     parse_on = n <= PARSE_CAP
     union_on = n <= UNION_CAP
-    tails: dict[tuple, tuple] = {}  # remainder blocks -> its trace verdict
+    tails: dict[tuple, tuple] = {}  # remainder (support, view) -> its trace verdict
     m = n + 1
 
     def text() -> str:  # the counterexample: built only on failure
@@ -286,19 +287,17 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             ):
                 _fail(fails, row, text())
             row = "separate-records-in-domain"
-            rec_is = separate_is(p)
-            rec_st = separate_st(p)
-            is_ok = combine_domain_ok(rec_is)
-            combined = None  # combine_is(rec_is), once built for this p
-            if not (is_ok and combine_domain_ok(rec_st)):
+            step = _separate(p, False, (ini, ter, sing))  # (rho, I, S)
+            back = _combine(*step, True)
+            rec_st = _separate(p, True, (ini, ter, sing))
+            if back is None or (back_st := _combine(*rec_st, False)) is None:
                 _fail(fails, row, text())
             else:
                 row = "separate-combine-roundtrip"
-                if (combined := combine_is(rec_is)) != p or combine_st(rec_st) != p:
+                if back != p or back_st != p:
                     _fail(fails, row, text())
             row = "combine-domain-role-symmetry"
-            retagged = SeparationRecord(rec_is.rho, rec_is.a_set, rec_is.b_set, ROLE_ST)
-            if combine_domain_ok(retagged) != is_ok:
+            if (_combine(*step, False) is None) != (back is None):
                 _fail(fails, row, text())
             row = "phi-support-preserved"
             (qg, qsizes), core = _phi_growth(g, sizes, False, _grow)
@@ -324,15 +323,16 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             if not conj_interchange_ok:
                 _fail(fails, row, text())
             if trace_on:
-                # phi_trace(p) takes the step rec_is, then traces the remainder.
+                # The trace of p takes the step, then traces the remainder.
                 row = "phi-trace-agreement"
                 verdict = (p, 0, 0)  # no step: no rows
-                if rec_is.a_set or rec_is.b_set:
-                    tail = tails.get(rec_is.rho.blocks)
+                rho, a, b = step
+                if a or b:
+                    key = rho.support, rho._view[2]
+                    tail = tails.get(key)
                     if tail is None:
-                        tail = tails[rec_is.rho.blocks] = _trace_tail(rec_is.rho)
-                    back = combine_is(rec_is) if combined is None else combined
-                    verdict = _with_step(tail, rec_is, back, _reinsert(tail[0], rec_is))
+                        tail = tails[key] = _trace_tail(rho)
+                    verdict = _with_step(tail, step, back, _reinsert(tail[0], a, b), p)
                 tau, inverse, exact = verdict
                 if tau != _partition(qg[1:]):
                     _fail(fails, row, text())

@@ -18,6 +18,7 @@ faster than the reference the check is stricter than a raw-seconds one.
 Verdicts and failure messages give both raw and reference-host seconds.
 """
 
+import hashlib
 import importlib.util
 import os
 import time
@@ -64,6 +65,7 @@ from conjlab import (
     strip_conjugate,
     to_path,
     to_subset,
+    verify_suite,
 )
 from conjlab.enumeration import rgs_prefixes
 
@@ -310,6 +312,22 @@ def test_criterion_04_optin_n12_sweep():
     assert fails == 0
     assert elapsed < 120.0, f"n=12 sweep took {elapsed:.1f} s"
     verdict(4, f"opt-in n=12: {count} partitions in {elapsed:.1f} s")
+
+
+# SHA-256 of the stdout of `conjlab verify --n-max 12 --comp-n-max 16
+# --jobs 2`: every invariant over all 4,213,597 partitions of [12].
+N12_REPORT_SHA256 = "3e65ade5566b315f30d93ea81d545ee41e5cdc3562adb96d719dbc696c0fec4d"
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CONJLAB_N12"),
+    reason="set CONJLAB_N12=1 to run the n=12 verify report (about 6 minutes on 2 cores)",
+)
+def test_criterion_04_optin_n12_report():
+    report = verify_suite(n_max=12, comp_n_max=16, jobs=2)
+    assert report.ok
+    assert hashlib.sha256((report.render() + "\n").encode()).hexdigest() == N12_REPORT_SHA256
+    verdict(4, f"opt-in n=12 verify report: {report.total_items} items, pinned bytes")
 
 
 def test_criterion_05_noncrossing_characterization_and_counts(census):

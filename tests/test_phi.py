@@ -16,7 +16,6 @@ from conjlab import (
     reduce_core,
 )
 from conjlab.partition import _partition, ranks
-from conjlab.separate import ROLE_IS, SeparationRecord
 
 from conftest import all_partitions
 
@@ -217,10 +216,10 @@ class TestTraceRecords:
     def test_stalled_strip_step_raises(self, monkeypatch):
         # A record that strips something yet keeps rho whole would loop for
         # ever; the check must hold under python -O too, so no assert.
-        def stalled(rho):
-            return SeparationRecord(rho, frozenset(rho.support[:1]), frozenset(), ROLE_IS)
+        def stalled(rho, st, prof=None):
+            return rho, [*rho.support[:1]], []
 
-        monkeypatch.setattr(separate_module, "separate_is", stalled)
+        monkeypatch.setattr(separate_module, "_separate", stalled)
         with pytest.raises(RuntimeError, match="no progress"):
             phi_trace(P("1 3 - 2"))
 

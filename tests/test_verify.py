@@ -17,7 +17,7 @@ from conjlab.compositions import Composition, conjugate_composition, mu
 from conjlab.enumeration import rgs_prefixes
 from conjlab.noncrossing import find_crossing
 from conjlab.partition import _partition, _renumber
-from conjlab.separate import ROLE_IS, SeparationRecord, _combine
+from conjlab.separate import _combine
 
 compositions_module = importlib.import_module("conjlab.compositions")
 noncrossing_module = importlib.import_module("conjlab.noncrossing")
@@ -30,20 +30,18 @@ verify_module = importlib.import_module("conjlab.verify")
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
-def corrupted_combine_st(rec):
+def corrupted_reinsert(tau, a, b):
     # Wrong direction: merges the b-elements with their successors, the
     # behaviour of the initiator-side insertion.
-    return _combine(rec.rho, rec.a_set, rec.b_set, with_succ=True)
+    return _combine(tau, a, b, with_succ=True)
 
 
-def separate_is_in_ranks(p):
+def separate_in_ranks(p, st, prof=None):
     # Right on [n]; on a sparse support it reports the stripped elements
     # by rank, not by label.
-    rec = separate_module.separate_is(p)
+    rho, a, b = separate_module._separate(p, st, prof)
     rank = {x: r for r, x in enumerate(p.support, 1)}
-    return rec._replace(
-        a_set=frozenset(map(rank.get, rec.a_set)), b_set=frozenset(map(rank.get, rec.b_set))
-    )
+    return rho, [*map(rank.get, a)], [*map(rank.get, b)]
 
 
 def reversed_conjugate_composition(c):
@@ -186,9 +184,11 @@ class TestSharding:
 
 class TestMutationDetection:
     def test_corrupted_reverse_insertion_is_caught(self, monkeypatch):
-        # A deliberately wrong combine_st (merge with successor instead of
-        # predecessor) must be detected even at tiny sizes.
-        monkeypatch.setattr(separate_module, "combine_st", corrupted_combine_st)
+        # A deliberately wrong re-insertion of the trace (merge with
+        # successor instead of predecessor) must be detected even at tiny
+        # sizes.
+        for module in (separate_module, verify_module):
+            monkeypatch.setattr(module, "_reinsert", corrupted_reinsert)
         report = verify_suite(n_max=3, comp_n_max=2, jobs=1)
         assert not report.ok
         failure = report.first_failure()
@@ -282,17 +282,18 @@ class TestRecordPrimitiveMutants:
     def test_domain_without_set_disjointness(self, monkeypatch):
         # Records that separate makes never repeat an element in both
         # sets, so only the one-element-convention probe sees this one.
-        # The domain test of combine_domain_ok and of both combines.
-        mutant = source_mutant(
-            separate_module, "_domain_universe", " and a_set.isdisjoint(b_set)", ""
-        )
-        monkeypatch.setattr(separate_module, "_domain_universe", mutant)
+        # The domain test of combine_domain_ok and of both combines: b_set
+        # may meet a_set, though still not rho.
+        mutant = source_mutant(separate_module, "_combine", " or in_b[i]", "")
+        for module in (separate_module, verify_module):
+            monkeypatch.setattr(module, "_combine", mutant)
         report = verify_suite(n_max=4, comp_n_max=2)
         assert failing(report) == {"one-element-convention": "a=1"}
 
     def test_combine_neighbour_off_by_one(self, monkeypatch):
         mutant = source_mutant(separate_module, "_combine", "(i + step)", "(i + step + 1)")
-        monkeypatch.setattr(separate_module, "_combine", mutant)
+        for module in (separate_module, verify_module):
+            monkeypatch.setattr(module, "_combine", mutant)
         report = verify_suite(n_max=4, comp_n_max=2)
         assert failing(report)["separate-combine-roundtrip"] == "n=2 p=1 2"
         assert "subset-support-roundtrip" in failing(report)
@@ -314,6 +315,13 @@ class TestArrayShard:
         "kreweras_complement",
         "rotate_partition",
         "find_crossing",
+        # The record path runs on its kernels too.
+        "separate_is",
+        "separate_st",
+        "combine_is",
+        "combine_st",
+        "combine_domain_ok",
+        "phi_trace",
     )
 
     def test_object_maps_stay_off_the_hot_path(self, monkeypatch):
@@ -322,7 +330,8 @@ class TestArrayShard:
         def refuse(*args):
             raise AssertionError("an object-level map ran in partition_shard")
 
-        for module in (verify_module, phi_module, partition_module, noncrossing_module):
+        modules = (verify_module, phi_module, partition_module, noncrossing_module, separate_module)
+        for module in modules:
             for name in self.OBJECT_MAPS:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
@@ -330,6 +339,17 @@ class TestArrayShard:
         assert got["fails"] == want["fails"] == {}
         assert (got["count"], got["nc"], got["dist"]) == (want["count"], want["nc"], want["dist"])
         assert got["image"] == want["image"] and len(got["image"]) == got["count"]
+
+    def test_no_block_is_built(self, monkeypatch):
+        # Past the text round trip (n <= 8), the record-based rows and the
+        # trace run on views too: the builder of blocks never runs.
+        builds = []
+        built = vars(SetPartition)["blocks"]
+        inner = built.func
+        monkeypatch.setattr(built, "func", lambda p: builds.append(p) or inner(p))
+        out = verify_module.partition_shard(9, (0, 1, 0, 2))
+        assert out["fails"] == {} and out["count"] > 1000
+        assert builds == []
 
 
 class TestCompositionSweepBuildsOnce:
@@ -550,28 +570,33 @@ TRACE_ROWS = ("phi-trace-agreement", "trace-record-inverse", "reverse-phase-exac
 
 def trace_fails(n, prefix=()):
     """The trace rows of partition_shard(n, prefix), computed as one
-    phi_trace per partition with every row checked, through verify's
-    bindings: the per-partition loop that the shard's cache replaces."""
+    phi_trace per partition with every row checked by verify's bindings
+    of the kernels: the per-partition loop that the shard's cache
+    replaces."""
     v = verify_module
+
+    def separates(rho, a_set, b_set, st, got):
+        """Whether got separates into the record (rho, a_set, b_set)."""
+        if got is None:
+            return False
+        back, a, b = v._separate(got, st)
+        return (back, set(a), set(b)) == (rho, a_set, b_set)
+
     fails = {}
     for p in v.iter_set_partitions(n, prefix):
         text = f"n={n} p={v.format_partition(p)}"
-        trace = v.phi_trace(p)
+        trace = separate_module.phi_trace(p)
         if trace.result != phi_module.phi(p):
             v._fail(fails, "phi-trace-agreement", text)
         rows = trace.reverse_rows  # j = k .. 0
         fwd = trace.forward_rows
-        for row in fwd:
-            rec = SeparationRecord(row.rho, row.initiators, row.singletons, ROLE_IS)
-            back = v.separate_is(v.combine_is(rec))
-            if (back.rho, back.a_set, back.b_set) != (rec.rho, rec.a_set, rec.b_set):
-                v._fail(fails, "trace-record-inverse", f"{text} j={row.j}")
+        for j, rho, a_set, b_set in fwd:
+            if not separates(rho, a_set, b_set, False, v._combine(rho, a_set, b_set, True)):
+                v._fail(fails, "trace-record-inverse", f"{text} j={j}")
                 break
         for idx in range(len(rows) - 1):
             tau_j, tau_prev, j = rows[idx].tau, rows[idx + 1].tau, rows[idx].j
-            back = v.separate_st(tau_prev)
-            frow = fwd[j - 1]
-            if (back.rho, back.a_set, back.b_set) != (tau_j, frow.initiators, frow.singletons):
+            if not separates(tau_j, *fwd[j - 1][2:], True, tau_prev):
                 v._fail(fails, "reverse-phase-exactness", f"{text} j={j}")
                 break
     return fails
@@ -592,22 +617,18 @@ class TestTraceTailCache:
     @staticmethod
     def mutants():
         """(name, [(module, binding, replacement)]) for each mutant."""
+        both = (separate_module, verify_module)
         off_by_one = source_mutant(separate_module, "_combine", "(i + step)", "(i + step + 1)")
+        # separate_st leaves the singletons in rho.
         keeps_singletons = source_mutant(
-            separate_module,
-            "separate_st",
-            "prof.singletons | prof.terminators",
-            "prof.terminators",
+            separate_module, "_separate", "[0, *a, *b]", "([0, *b] if st else [0, *a, *b])"
         )
         return [
-            ("combine_st", [(separate_module, "combine_st", corrupted_combine_st)]),
-            ("_combine", [(separate_module, "_combine", off_by_one)]),
-            (
-                "separate_st",
-                [(m, "separate_st", keeps_singletons) for m in (separate_module, verify_module)],
-            ),
+            ("_reinsert", [(m, "_reinsert", corrupted_reinsert) for m in both]),
+            ("_combine", [(m, "_combine", off_by_one) for m in both]),
+            ("_separate", [(m, "_separate", keeps_singletons) for m in both]),
             # In verify only: wrong on the sparse rows j >= 2 alone.
-            ("separate_is", [(verify_module, "separate_is", separate_is_in_ranks)]),
+            ("_separate in ranks", [(verify_module, "_separate", separate_in_ranks)]),
         ]
 
     def test_unmutated_shards_pass(self):
@@ -634,13 +655,12 @@ class TestTraceTailCache:
 
     def test_each_remainder_is_traced_once(self, monkeypatch):
         v = verify_module
-        real_separate_is = separate_module.separate_is
-        calls = {"parts": [], "separate_is": [], "combine_is": [], "phi_trace": []}
+        calls = {"parts": [], "_separate": [], "_combine": [], "_trace": []}
 
         def wrap(name, real):
             def counted(*args):
                 out = real(*args)
-                calls[name].append((args[0], out))
+                calls[name].append((args, out))
                 return out
 
             monkeypatch.setattr(v, name, counted)
@@ -650,7 +670,7 @@ class TestTraceTailCache:
                 calls["parts"].append(p)
                 yield p
 
-        for name in ("separate_is", "combine_is", "phi_trace"):
+        for name in ("_separate", "_combine", "_trace"):
             wrap(name, getattr(v, name))
         monkeypatch.setattr(v, "iter_set_partitions", enumerate_parts)
         for n, prefix in [(7, ()), (8, (0, 1, 0, 2)), (9, (0, 1, 2, 3))]:
@@ -660,35 +680,45 @@ class TestTraceTailCache:
             parts = calls["parts"]
             ids = {id(p) for p in parts}
             assert len(ids) == len(parts) == len(set(parts))
-            # separate_is once per partition on p itself.
-            on_p = Counter(id(arg) for arg, _ in calls["separate_is"] if id(arg) in ids)
-            assert on_p == Counter(ids)
-            # combine_is(rec_is) at most once per partition.
-            firsts = {id(rec) for arg, rec in calls["separate_is"] if id(arg) in ids}
-            on_rec = Counter(id(arg) for arg, _ in calls["combine_is"] if id(arg) in firsts)
-            assert max(on_rec.values()) == 1
-            # phi_trace once per distinct remainder of a first step.
-            traced = [arg.blocks for arg, _ in calls["phi_trace"]]
-            steps = map(real_separate_is, parts)
+            # The separate_is step once per partition on p itself.
+            firsts = [(args, out) for args, out in calls["_separate"] if id(args[0]) in ids]
+            firsts = [(args[0], out) for args, out in firsts if not args[1]]
+            assert Counter(id(p) for p, _ in firsts) == Counter(ids)
+            # Its combine_is at most once per partition.
+            rhos = {id(step[0]) for _, step in firsts}
+            on_rho = Counter(id(args[0]) for args, _ in calls["_combine"] if args[3])
+            assert max(on_rho[r] for r in rhos) == 1
+            # The trace once per distinct remainder of a first step.
+            traced = [args[0].blocks for args, _ in calls["_trace"]]
+            steps = map(separate_module.separate_is, parts)
             remainders = {r.rho.blocks for r in steps if r.a_set or r.b_set}
             assert len(traced) == len(remainders) < len(parts)
             assert set(traced) == remainders
 
     def test_no_stale_combine_is_reuse(self, monkeypatch):
-        # Records whose remainder has two blocks skip the round trip, so
-        # their partitions build combine_is(rec_is) themselves; reusing the
-        # previous partition's would fail trace-record-inverse.
-        real = verify_module.combine_domain_ok
+        # With the ST-direction combine refusing every rho of two blocks, a
+        # partition whose ST record has two blocks skips the round trip,
+        # and one whose IS record has two blocks fails the role symmetry.
+        # Each still checks its trace against its own combine_is: reusing
+        # another partition's would fail trace-record-inverse.
+        real = verify_module._combine
 
-        def refuses_two_blocks(rec):
-            return len(rec.rho.blocks) != 2 and real(rec)
+        def refuses_two_blocks(rho, a, b, with_succ):
+            return None if not with_succ and len(rho.blocks) == 2 else real(rho, a, b, with_succ)
 
-        monkeypatch.setattr(verify_module, "combine_domain_ok", refuses_two_blocks)
+        monkeypatch.setattr(verify_module, "_combine", refuses_two_blocks)
         report = verify_suite(7, 2)
-        # As with one phi_trace per partition: only the domain row fails.
-        assert {r.invariant: (r.failures, r.counterexample) for r in report.results if not r.ok} == {
-            "separate-records-in-domain": (704, "n=4 p=1 2 - 3 4")
-        }
+        want = {}
+        for n in range(1, 8):
+            for p in verify_module.iter_set_partitions(n):
+                for inv, separate in (
+                    ("separate-records-in-domain", separate_module.separate_st),
+                    ("combine-domain-role-symmetry", separate_module.separate_is),
+                ):
+                    if len(separate(p).rho.blocks) == 2:
+                        want.setdefault(inv, [0, f"n={n} p={p}"])[0] += 1
+        assert want["separate-records-in-domain"] == [704, "n=4 p=1 2 - 3 4"]
+        assert {r.invariant: [r.failures, r.counterexample] for r in report.results if not r.ok} == want
 
 
 def object_union_maximal(p, gaps):
