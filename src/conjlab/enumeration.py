@@ -142,7 +142,7 @@ def iter_set_partitions(
             sizes[c - 1] -= 1
             sizes[c] += 1
             sizes[0] += n - i - 1
-        yield _lazy((n, None, (0, *a)), sizes[:])
+        yield _lazy((0, *a), sizes[:])
 
 
 def iter_set_partitions_of(elements: Iterable[int]) -> Iterator[SetPartition]:
@@ -156,7 +156,7 @@ def iter_set_partitions_of(elements: Iterable[int]) -> Iterator[SetPartition]:
         return
     labels = [0, *support]
     for p in iter_set_partitions(m):
-        yield _lazy((m, labels, p._view[2]), p._sizes)
+        yield _lazy(p._view[2], p._sizes, labels)
 
 
 def random_partition(elements: Iterable[int], rng) -> SetPartition:

@@ -13,22 +13,18 @@ over it: block polygons of a noncrossing partition nest, so the open
 blocks at any point of the scan form a stack, and each gap lands in the
 pocket of the innermost open block (or in the shared outer region).  A
 rank that continues a block below the top of the stack is a crossing, so
-the complement checks its input in the same scan.  The adapters read a
-partition's rank view and block sizes, never its blocks, and their
-results build blocks only when read.
+the complement checks its input in the same scan.  The Kreweras and
+rotation kernels return, as every growth-string kernel does, the
+result's growth string with its block sizes (partition._grow).  The
+adapters read a partition's rank view and block sizes, never its blocks,
+and wrap a kernel's result with partition._lazy, which builds blocks
+only when read.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .partition import (
-    EMPTY,
-    SetPartition,
-    _complement,
-    _partition,
-    _renumber,
-    require_full_support,
-)
+from .partition import EMPTY, SetPartition, _complement, _grow, _lazy, require_full_support
 
 
 def _scan(bid, sizes, pockets=None):
@@ -55,20 +51,20 @@ def _scan(bid, sizes, pockets=None):
     return None
 
 
-def _kreweras(bid, sizes, build=_renumber):
-    """The Kreweras complement of the growth string bid with block sizes
-    sizes, its pockets renumbered by build (by default its growth string,
-    with _partition the partition), or None when bid is crossing."""
+def _kreweras(bid, sizes):
+    """(g, sizes) of the Kreweras complement of the growth string bid with
+    block sizes sizes: its pockets renumbered by _grow.  None when bid is
+    crossing."""
     pockets: list[int] = []
-    return None if _scan(bid, sizes, pockets) else build(pockets)
+    return None if _scan(bid, sizes, pockets) else _grow(pockets)
 
 
-def _rotate(g, shift: int, build=_renumber):
-    """The growth string of x -> ((x - 1 + shift) mod m) + 1 on the growth
-    string g of a partition of [m]: rank y takes the block of y - shift,
-    renumbered by build (with _partition, the partition itself)."""
+def _rotate(g, shift: int):
+    """(g, sizes) of x -> ((x - 1 + shift) mod m) + 1 on the growth string
+    g of a partition of [m]: rank y takes the block of y - shift,
+    renumbered by _grow."""
     cut = len(g) - shift % (len(g) - 1)
-    return build(g[cut:] + g[1:cut])
+    return _grow(g[cut:] + g[1:cut])
 
 
 def find_crossing(p: SetPartition):
@@ -104,10 +100,10 @@ def kreweras_complement(p: SetPartition) -> SetPartition:
     sizes = p._sizes
     if not sizes:
         return EMPTY
-    k = _kreweras(require_full_support(p, sum(sizes)), sizes, _partition)
+    k = _kreweras(require_full_support(p, sum(sizes)), sizes)
     if k is None:
         raise DomainError(f"partition is crossing: quadruple {find_crossing(p)}")
-    return k
+    return _lazy(*k)
 
 
 def graphical_conjugate(p: SetPartition) -> SetPartition:
@@ -126,7 +122,7 @@ def rotate_partition(p: SetPartition, shift: int) -> SetPartition:
     sizes = p._sizes
     if not sizes:
         return EMPTY
-    return _rotate(require_full_support(p, sum(sizes)), shift, _partition)
+    return _lazy(*_rotate(require_full_support(p, sum(sizes)), shift))
 
 
 def format_gaps(p: SetPartition) -> str:

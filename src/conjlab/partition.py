@@ -14,11 +14,13 @@ pad).  A SetPartition keeps the form it was built in, its blocks or its
 view with block sizes; its blocks, _view, _sizes and support are kept
 attributes (_Kept), each made from that form on its first read.  The
 readers here and in phi and noncrossing take p._view and p._sizes, never
-the blocks; the public maps build their result with _partition from the
-keys a kernel gives (the transfer's roots, a reversed or rotated growth
-string), renumbered by _grow, the one builder.  The maps defined only on
-partitions of exactly [n] take their input's growth string from
-require_full_support, the one check of that support.
+the blocks.  Every growth-string kernel (the relabel here, the transfer
+of phi, the Kreweras complement and the rotation) returns what _grow
+returns for the keys it makes, the result's growth string and block
+sizes, and the public maps wrap that pair with _lazy; _grow is the one
+place that numbers blocks.  The maps defined only on partitions of
+exactly [n] take their input's growth string from require_full_support,
+the one check of that support.
 
 Every block tuple of a partition of [m], m <= N_MAX_HARD, that the
 library builds without labels is the entry of _BY_MASK for its mask of
@@ -97,11 +99,12 @@ class SetPartition(_Frozen):
 
     Construct through canonicalize() or parse_partition() unless the block
     data is already canonical (sorted within blocks, blocks sorted by
-    minimum, pairwise disjoint).  A partition is built from its blocks
-    or from its rank view _view, (m, labels, g), with its block sizes
-    _sizes; blocks, _view, _sizes and support are kept attributes, each
-    made from the other form on its first read.  _view and _sizes stay
-    out of hash, repr and pickles.
+    minimum, pairwise disjoint).  A partition is built from its blocks,
+    or by _lazy from a growth string g with its block sizes: its rank
+    view _view is then (m, labels, g), m = len(g) - 1, and its block
+    sizes _sizes.  blocks, _view, _sizes and support are kept
+    attributes, each made from the other form on its first read.  _view
+    and _sizes stay out of hash, repr and pickles.
     """
 
     _field = "blocks"
@@ -163,16 +166,19 @@ class SetPartition(_Frozen):
 
 
 EMPTY = SetPartition(())
+# Kept from the start, so EMPTY pickles the same whatever read it before.
+EMPTY.__dict__["support"] = ()
 
 _new = object.__new__
 
 
-def _lazy(view, sizes) -> SetPartition:
-    """The partition with rank view view and block sizes sizes; it builds
-    its blocks when they are read."""
+def _lazy(g, sizes, labels=None) -> SetPartition:
+    """The partition of the growth string g, with block sizes sizes and
+    its ranks read through labels (None: rank r is r); it builds its
+    blocks when they are read."""
     p = _new(SetPartition)
     d = p.__dict__
-    d["_view"], d["_sizes"] = view, sizes
+    d["_view"], d["_sizes"] = (len(g) - 1, labels, g), sizes
     return p
 
 
@@ -239,16 +245,10 @@ def _grow(keys, top=None) -> tuple[tuple[int, ...], list[int]]:
     return tuple(g), sizes
 
 
-def _renumber(keys) -> tuple[int, ...]:
-    """The growth string of _grow(keys)."""
-    return _grow(keys)[0]
-
-
 def _partition(keys, labels=None) -> SetPartition:
     """The partition of _grow(keys), its ranks read through labels (None:
     rank r is r); it builds its blocks when they are read."""
-    g, sizes = _grow(keys)
-    return _lazy((len(keys), labels, g), sizes)
+    return _lazy(*_grow(keys), labels)
 
 
 def _core(core, bid, labels=None) -> SetPartition:
@@ -344,20 +344,19 @@ def complement(p: SetPartition, n: int) -> SetPartition:
     An involution; it reverses the cyclic order, so initiators and
     terminators trade places while singleton status is preserved.
     """
-    return _relabel(require_full_support(p, n), _partition)
+    return _lazy(*_relabel(require_full_support(p, n)))
 
 
 def _complement(k: SetPartition) -> SetPartition:
     """The complement of a Kreweras complement k, which carries the view
     of a partition of [n] (or is empty): no support to check."""
-    return _relabel(k._view[2], _partition)
+    return _lazy(*_relabel(k._view[2]))
 
 
-def _relabel(g, build=_renumber):
-    """The growth string of x -> m + 1 - x on the growth string g of a
-    partition of [m]: g read from rank m down to 1, renumbered by build
-    (with _partition, the partition itself)."""
-    return build(g[:0:-1])
+def _relabel(g):
+    """(g, sizes) of x -> m + 1 - x on the growth string g of a partition
+    of [m]: g read from rank m down to 1, renumbered by _grow."""
+    return _grow(g[:0:-1])
 
 
 def format_partition(p: SetPartition) -> str:

@@ -14,13 +14,15 @@ scan records those links and a union-find joins them with the core
 blocks.  The strip and the transfer are kernels on the growth string of
 a partition of ranks (partition.ranks), the form that the adjacency
 profile, the relabel and the crossing scans share: they read block ids
-by rank, and the transfer's roots, renumbered, are the growth string of
-the result.  phi, phi_inverse, reduce_core and conjugate are adapters
-that read a partition's rank view and block sizes, never its blocks,
-and hand the roots to partition._partition, whose result holds the
-renumbered roots as its view and builds its blocks only when read;
-reduce_core alone builds blocks, those of the core, and it takes them
-from partition._core, since partition alone picks the tuple of a block.
+by rank, and the transfer's roots, renumbered by partition._grow, are
+the growth string of the result.  _phi_growth returns that growth
+string with its block sizes, as every growth-string kernel does.  phi,
+phi_inverse, reduce_core and conjugate are adapters that read a
+partition's rank view and block sizes, never its blocks, and wrap the
+kernel's result with partition._lazy, which builds blocks only when
+read; reduce_core alone builds blocks, those of the core, and it takes
+them from partition._core, since partition alone picks the tuple of a
+block.
 The exhaustive checks sweep millions of partitions on growth strings
 alone.  The readable record-based computation on blocks, phi_trace,
 lives in separate beside the operations it composes, and this module
@@ -35,14 +37,7 @@ list of the live elements, and is O(m) on every input.
 
 from __future__ import annotations
 
-from .partition import (
-    SetPartition,
-    _core,
-    _partition,
-    _relabel,
-    _renumber,
-    require_full_support,
-)
+from .partition import SetPartition, _core, _grow, _lazy, _relabel, require_full_support
 
 # Passes over the support a strip may scan before it moves to the
 # worklist: a worklist from the first step cost 35% more in phi over all
@@ -161,7 +156,7 @@ def _transfer(bid, strip, invert: bool) -> list[int]:
     """The roots of phi (invert False) or phi_inverse (invert True): root[r]
     names the block of rank r in the result, from the _strip result strip
     on bid, run with the same invert: the ranks with equal roots form a
-    block of the result, so _partition(root[1:]) builds it.
+    block of the result, so _grow(root[1:]) is its growth string.
 
     The result's blocks are the classes of a union-find over the strip's
     links and the core blocks.  Links point back in scan order, bar one
@@ -180,21 +175,13 @@ def _transfer(bid, strip, invert: bool) -> list[int]:
     return link
 
 
-def _phi_growth(bid, sizes, invert: bool = False, build=_renumber):
-    """(g, core): the growth string g of phi, or of phi_inverse when
-    invert, of the growth string bid with block sizes sizes, renumbered
-    by build (with partition._grow, g and its sizes), and the strip's
-    core ranks in scan order (empty exactly when bid is noncrossing, for
-    phi)."""
+def _phi_growth(bid, sizes, invert: bool = False):
+    """((g, gsizes), core): the growth string g of phi, or of phi_inverse
+    when invert, of the growth string bid with block sizes sizes, gsizes
+    the block sizes of g, and the strip's core ranks in scan order (empty
+    exactly when bid is noncrossing, for phi)."""
     strip = _strip(bid, sizes, invert)
-    return build(_transfer(bid, strip, invert)[1:]), strip[0]
-
-
-def _map(p: SetPartition, invert: bool):
-    """The rank view of p and the roots of phi, or phi_inverse, on it."""
-    view = p._view
-    bid = view[2]
-    return view, _transfer(bid, _strip(bid, p._sizes, invert), invert)
+    return _grow(_transfer(bid, strip, invert)[1:]), strip[0]
 
 
 def phi(p: SetPartition) -> SetPartition:
@@ -204,15 +191,15 @@ def phi(p: SetPartition) -> SetPartition:
     phi(p) are the singletons of p.  Works on any finite support and
     preserves it.
     """
-    view, root = _map(p, False)
-    return _partition(root[1:], view[1])
+    _, labels, bid = p._view
+    return _lazy(*_phi_growth(bid, p._sizes)[0], labels)
 
 
 def phi_inverse(p: SetPartition) -> SetPartition:
     """Two-sided inverse of phi: strip singletons/terminators, rebuild
     joining each stripped singleton to its cyclic successor."""
-    view, root = _map(p, True)
-    return _partition(root[1:], view[1])
+    _, labels, bid = p._view
+    return _lazy(*_phi_growth(bid, p._sizes, True)[0], labels)
 
 
 def reduce_core(p: SetPartition) -> SetPartition:
@@ -230,4 +217,4 @@ def conjugate(p: SetPartition, n: int) -> SetPartition:
     Like phi it interchanges the singleton count with the adjacency count.
     """
     g = require_full_support(p, n)
-    return _relabel(_transfer(g, _strip(g, p._sizes, False), False), _partition)
+    return _lazy(*_relabel(_transfer(g, _strip(g, p._sizes, False), False)))

@@ -68,7 +68,7 @@ def _separate(p: SetPartition, st: bool, prof=None) -> tuple[SetPartition, list,
         live, a, b = ([labels[r] for r in s] for s in (live, a, b))
     g, sizes = _grow(compress(g, keep), len(p._sizes))  # keys: p's block numbers
     rest = None if not live or live[-1] == len(live) else [0, *live]  # labels unless 1..k
-    return _lazy((len(live), rest, g), sizes), a, b
+    return _lazy(g, sizes, rest), a, b
 
 
 def separate_is(p: SetPartition) -> SeparationRecord:
@@ -131,7 +131,7 @@ def _combine(rho: SetPartition, a_set, b_set, with_succ: bool) -> SetPartition |
             parent[j] = j = parent[parent[j]]
         parent[i] = j
     g, sizes = _grow(parent[1 : n + 1], len(parent))
-    return _lazy((n, labels, g), sizes)
+    return _lazy(g, sizes, labels)
 
 
 def combine_domain_ok(rec: SeparationRecord) -> bool:

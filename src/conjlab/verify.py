@@ -38,6 +38,7 @@ takes one table row plus its check (a _fail call in the sweep).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, combinations
 import random
 from typing import NamedTuple
 
@@ -73,7 +74,7 @@ from .partition import (
     EMPTY,
     SetPartition,
     _core,
-    _grow,
+    _lazy,
     _partition,
     _profile,
     _relabel,
@@ -271,12 +272,12 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             if parse_on and parse_partition(str(p)) != p:
                 _fail(fails, row, text())
             row = "complement-involution"
-            cg, csizes = _relabel(g, _grow)  # the complement of p
+            cg, csizes = _relabel(g)  # the complement of p
             # The relabel by its definition, without the kernel: g reversed,
             # blocks renumbered by first occurrence.
             rev = g[:0:-1]
             first = {b: i for i, b in enumerate(dict.fromkeys(rev))}
-            if _relabel(cg) != g or cg != (0, *map(first.__getitem__, rev)):
+            if _relabel(cg)[0] != g or cg != (0, *map(first.__getitem__, rev)):
                 _fail(fails, row, text())
             row = "complement-role-swap"
             cini, cter, csing = _profile(cg, csizes)
@@ -300,7 +301,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             if (_combine(*step, False) is None) != (back is None):
                 _fail(fails, row, text())
             row = "phi-support-preserved"
-            (qg, qsizes), core = _phi_growth(g, sizes, False, _grow)
+            (qg, qsizes), core = _phi_growth(g, sizes)
             if len(qg) != m:
                 _fail(fails, row, text())
             row = "phi-statistic-interchange"
@@ -308,13 +309,13 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             if not (qsing == ini and qter == sing):
                 _fail(fails, row, f"{text()} phi(p)={_text(qg)}")
             row = "phi-inverse-identity"
-            if _phi_growth(qg, qsizes, True)[0] != g:
+            if _phi_growth(qg, qsizes, True)[0][0] != g:
                 _fail(fails, row, text())
             if image is not None:
                 image.add(qg)
             row = "conjugate-involution"
-            cq, cqsizes = _relabel(qg, _grow)  # the conjugate of p
-            involution_ok = _relabel(_phi_growth(cq, cqsizes)[0]) == g
+            cq, cqsizes = _relabel(qg)  # the conjugate of p
+            involution_ok = _relabel(_phi_growth(cq, cqsizes)[0][0])[0] == g
             if not involution_ok:
                 _fail(fails, row, f"{text()} conj(p)={_text(cq)}")
             row = "conjugate-interchange"
@@ -334,7 +335,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
                         tail = tails[key] = _trace_tail(rho)
                     verdict = _with_step(tail, step, back, _reinsert(tail[0], a, b), p)
                 tau, inverse, exact = verdict
-                if tau != _partition(qg[1:]):
+                if tau != _lazy(qg, qsizes):
                     _fail(fails, row, text())
                 if inverse:
                     _fail(fails, "trace-record-inverse", f"{text()} j={inverse}")
@@ -349,21 +350,21 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             if not (_scan(qg, qsizes) is None and _scan(cq, cqsizes) is None):
                 _fail(fails, row, text())
             row = "nc-graphical-phi"
-            kg = _kreweras(g, sizes)  # the gaps of p
+            kg, ksizes = _kreweras(g, sizes)  # the gaps of p
             if kg != qg:
                 _fail(fails, row, f"{text()} gaps={_text(kg)}")
             row = "nc-graphical-conjugate"
-            if _relabel(kg) != cq:
+            if _relabel(kg)[0] != cq:
                 _fail(fails, row, text())
             row = "nc-conjugation-involution"
             if not (involution_ok and conj_interchange_ok):
                 _fail(fails, row, text())
             row = "kreweras-double-rotation"
-            if _kreweras(kg, _grow(kg[1:])[1]) != _rotate(g, -1):
+            if _kreweras(kg, ksizes) != _rotate(g, -1):
                 _fail(fails, row, text())
             row = "kreweras-union-maximal"
             if union_on:
-                ok, why = _union_maximal(g, kg)
+                ok, why = _union_maximal(g, sizes, kg, ksizes)
                 if not ok:
                     _fail(fails, row, f"{text()} {why}")
         except Exception as exc:
@@ -377,28 +378,27 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
     }
 
 
-def _union_maximal(g, kg) -> tuple[bool, str]:
-    """p (growth string g) on the odd ranks 2x - 1 of [2n], its gap
-    partition (growth string kg) on the even ranks 2x, gap block b as
-    block k + b after the k blocks of p.
+def _union_maximal(g, sizes, kg, ksizes) -> tuple[bool, str]:
+    """p (growth string g, block sizes sizes) on the odd ranks 2x - 1 of
+    [2n], its gap partition (growth string kg, block sizes ksizes) on the
+    even ranks 2x, gap block b as block k + b after the k blocks of p.
 
     The union must be noncrossing on the interleaved cycle, and merging
     any two gap blocks must create a crossing (the complement is the
     largest disjoint completion).
     """
-    sizes = _grow(g[1:])[1]
     k = len(sizes)
     union = [0] * (2 * len(g) - 1)
     union[1::2] = g[1:]
     union[2::2] = [k + b for b in kg[1:]]
-    sizes += _grow(kg[1:])[1]
+    sizes = [*sizes, *ksizes]
     if _scan(union, sizes):
         return False, "union crosses"
     for i in range(k, len(sizes)):
         for j in range(i + 1, len(sizes)):
             merged = [i if b == j else b for b in union]
             if _scan(merged, [*sizes[:i], sizes[i] + sizes[j], *sizes[i + 1 :]]) is None:
-                gaps = [tuple(2 * x for x in blk) for blk in _partition(kg[1:]).blocks]
+                gaps = [tuple(2 * x for x in blk) for blk in _lazy(kg, ksizes).blocks]
                 return False, f"gap blocks {gaps[i - k]} and {gaps[j - k]} merge without crossing"
     return True, ""
 
@@ -494,10 +494,7 @@ def _fixed_checks() -> dict:
     fails: dict[str, list] = {}
     # Round trips over every partition of every small sparse support.
     items = 0
-    supports = [()]
-    for x in range(1, 9):
-        supports += [s + (x,) for s in supports if len(s) < 6]
-    for supp in sorted(supports, key=lambda s: (len(s), s)):
+    for supp in chain.from_iterable(combinations(range(1, 9), k) for k in range(7)):
         for p in iter_set_partitions_of(supp):
             items += 1
             why = _outcome(

@@ -5,7 +5,7 @@ import pytest
 from conjlab import SetPartition, iter_set_partitions, random_partition
 from conjlab.enumeration import rgs_prefixes
 from conjlab.noncrossing import _kreweras
-from conjlab.partition import _renumber
+from conjlab.partition import _grow
 
 
 def all_partitions(n: int) -> list[SetPartition]:
@@ -37,23 +37,23 @@ def kernel_inputs() -> list[SetPartition]:
 
 @pytest.fixture(scope="session")
 def union_inputs() -> list[tuple]:
-    """(p, gap growth string) for every noncrossing partition p of [n],
-    1 <= n <= 8: its Kreweras complement, then that complement with one
-    block split (the last rank of its first block of two or more moved to
-    a block of its own) and with two blocks merged (block 1 into block 0),
-    where the partition has such blocks."""
+    """(p, gap growth string, its block sizes) for every noncrossing
+    partition p of [n], 1 <= n <= 8: its Kreweras complement, then that
+    complement with one block split (the last rank of its first block of
+    two or more moved to a block of its own) and with two blocks merged
+    (block 1 into block 0), where the partition has such blocks."""
     out = []
     for n in range(1, 9):
         for p in iter_set_partitions(n):
-            kg = _kreweras(p._view[2], list(map(len, p.blocks)))
-            if kg is None:  # p crosses
+            gaps = _kreweras(p._view[2], list(map(len, p.blocks)))
+            if gaps is None:  # p crosses
                 continue
-            out.append((p, kg))
-            keys = list(kg[1:])
+            out.append((p, *gaps))
+            keys = list(gaps[0][1:])
             big = [b for b in range(max(keys) + 1) if keys.count(b) > 1]
             if big:
                 last = n - 1 - keys[::-1].index(big[0])
-                out.append((p, _renumber(keys[:last] + [n] + keys[last + 1 :])))
+                out.append((p, *_grow(keys[:last] + [n] + keys[last + 1 :])))
             if max(keys) > 0:
-                out.append((p, _renumber([b - (b == 1) for b in keys])))
+                out.append((p, *_grow([b - (b == 1) for b in keys])))
     return out

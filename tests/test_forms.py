@@ -72,8 +72,8 @@ def test_a_bare_partition_is_ranked_at_most_once(monkeypatch, sparse_samples):
 def view_built(p: SetPartition) -> SetPartition:
     """p built from its rank view and block sizes, as the enumeration and
     the maps build a partition."""
-    m, labels, g = partition.ranks(p.blocks)
-    return partition._lazy((m, labels, tuple(g)), [*map(len, p.blocks)])
+    _, labels, g = partition.ranks(p.blocks)
+    return partition._lazy(tuple(g), [*map(len, p.blocks)], labels)
 
 
 @pytest.mark.parametrize("name", ["blocks", "_view", "_sizes", "support"])

@@ -1,5 +1,9 @@
+from collections import Counter
 import importlib
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -25,10 +29,11 @@ from conjlab import (
 from conjlab import partition as partition_module
 from conjlab.enumeration import iter_set_partitions
 from conjlab.partition import (
+    _grow,
+    _lazy,
     _partition,
     _profile,
     _relabel,
-    _renumber,
     partition_to_blocks,
     ranks,
 )
@@ -116,6 +121,23 @@ class TestCanonicalForm:
         for p in (fresh, read):
             back = pickle.loads(pickle.dumps(p))
             assert back == p and back.support == (1, 2, 3)
+
+    def test_empty_pickles_the_same_before_and_after_its_support_is_read(self):
+        # In a fresh interpreter, since this one has read EMPTY.support.
+        code = (
+            "import pickle; from conjlab import EMPTY; fresh = pickle.dumps(EMPTY, 4); "
+            "assert EMPTY.support == (); print(fresh == pickle.dumps(EMPTY, 4))"
+        )
+        path = [os.path.dirname(os.path.dirname(partition_module.__file__))]
+        path += filter(None, [os.environ.get("PYTHONPATH")])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout == "True\n"
 
     def test_blocks_json_roundtrip(self):
         p = parse_partition("1 5 8 - 2 - 3 - 4 - 6 7")
@@ -223,7 +245,7 @@ class TestHandedOverView:
         for p in kernel_inputs:
             n, _, g = p._view
             want = canonicalize([n + 1 - x for x in blk] for blk in p.blocks)
-            got = _partition(_relabel(g)[1:])
+            got = _lazy(*_relabel(g))
             assert got == want == complement(SetPartition(p.blocks), n)
             assert got._view[2] == tuple(ranks(want.blocks)[2])
 
@@ -247,11 +269,47 @@ class TestHandedOverView:
             assert back == p and "_view" not in vars(back) and "_view" in vars(p)
 
 
+def is_growth_string(g) -> bool:
+    """Whether g is the pad 0 and then a growth string: each block number
+    at most one above the largest before it, from 0."""
+    top = -1
+    for b in g[1:]:
+        if b > top + 1:
+            return False
+        top = max(top, b)
+    return g[:1] == (0,)
+
+
+class TestKernelResults:
+    """Each growth-string kernel returns (g, sizes): g a growth string
+    with its pad, sizes its block counts, and _lazy of them the public
+    map.  partition_shard trusts those sizes and works none out again."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_partition(self, n):
+        for p in all_partitions(n):
+            g, sizes = p._view[2], p._sizes
+            bare = SetPartition(p.blocks)
+            results = [(_relabel(g), complement(bare, n))]
+            for shift in (-1, 1, n // 2):
+                results.append((noncrossing._rotate(g, shift), rotate_partition(bare, shift)))
+            results.append((phi_module._phi_growth(g, sizes)[0], phi(bare)))
+            results.append((phi_module._phi_growth(g, sizes, True)[0], phi_inverse(bare)))
+            gaps = noncrossing._kreweras(g, sizes)
+            assert (gaps is None) != noncrossing.is_noncrossing(bare)
+            if gaps is not None:
+                results.append((gaps, kreweras_complement(bare)))
+            for (qg, qsizes), want in results:
+                assert is_growth_string(qg) and len(qg) == n + 1, (str(p), qg)
+                assert Counter(qg[1:]) == dict(enumerate(qsizes)), (str(p), qg, qsizes)
+                assert _lazy(qg, qsizes) == want, str(p)
+
+
 def two_pass_partition(keys, labels=None):
     """(blocks, view) of the partition whose blocks are the ranks with
-    equal keys, built in two passes: _renumber, then a walk over the
-    growth string that appends each rank to its block."""
-    g = _renumber(keys)
+    equal keys, built in two passes: the growth string of _grow, then a
+    walk over it that appends each rank to its block."""
+    g = _grow(keys)[0]
     blocks: list[list[int]] = []
     for r in range(1, len(g)):
         if g[r] < len(blocks):
@@ -263,17 +321,26 @@ def two_pass_partition(keys, labels=None):
     return tuple(map(tuple, blocks)), (len(g) - 1, labels, g)
 
 
+def phi_roots(p, invert):
+    """The raw roots of phi, or phi_inverse, on p: its transfer's result."""
+    bid = p._view[2]
+    return phi_module._transfer(bid, phi_module._strip(bid, p._sizes, invert), invert)[1:]
+
+
 def builder_keys(p):
-    """The keys that the public maps hand to _partition for p, a partition
-    of [n] with its growth string: the roots of phi and of phi_inverse,
-    the reversed string (complement) and three rotations."""
+    """The keys that the kernels of the public maps hand to _grow for p, a
+    partition of [n] with its growth string: the roots of phi and of
+    phi_inverse, the reversed string (complement), three rotations and,
+    for noncrossing p, the Kreweras pockets."""
     n, _, g = p._view
     sizes = list(map(len, p.blocks))
-    out = [phi_module._map(p, invert)[1][1:] for invert in (False, True)]
-    out.append(_relabel(g, list))
-    out += [noncrossing._rotate(g, shift, list) for shift in (-1, 1, n // 2)]
-    kg = noncrossing._kreweras(g, sizes, list)
-    return out if kg is None else [*out, kg]
+    out = [phi_roots(p, invert) for invert in (False, True)]
+    out.append(g[:0:-1])
+    for shift in (-1, 1, n // 2):
+        cut = len(g) - shift % n
+        out.append(g[cut:] + g[1:cut])
+    pockets: list[int] = []
+    return out if noncrossing._scan(g, sizes, pockets) else [*out, pockets]
 
 
 class TestOnePassBuilder:
@@ -295,17 +362,20 @@ class TestOnePassBuilder:
     def test_sparse_phi_roots(self, sparse_samples):
         for p in sparse_samples:
             for invert in (False, True):
-                view, root = phi_module._map(p, invert)
-                q = _partition(root[1:], view[1])
-                assert (q.blocks, q._view) == two_pass_partition(root[1:], view[1])
+                keys, labels = phi_roots(p, invert), p._view[1]
+                q = _partition(keys, labels)
+                assert (q.blocks, q._view) == two_pass_partition(keys, labels)
                 assert q == (phi_inverse(p) if invert else phi(p))
 
-    def test_public_maps_build_without_renumber(self, monkeypatch):
-        # Every way to _renumber raises: the module bindings and the
-        # default builder of the kernels.  The maps still give the same
-        # results, so none of them renumbers before it builds.
-        def refuse(keys):
-            raise AssertionError("_renumber ran before _partition")
+    def test_public_maps_grow_once(self, monkeypatch):
+        # Each map numbers its result's blocks in one _grow call, wherever
+        # its kernel finds _grow, and the results stay the same.
+        grown = []
+        grow = partition_module._grow
+
+        def counted(keys, top=None):
+            grown.append(keys)
+            return grow(keys, top)
 
         p = parse_partition("1 5 8 - 2 - 3 - 4 - 6 7")
         nc = parse_partition("1 4 - 2 3 - 5")
@@ -319,11 +389,11 @@ class TestOnePassBuilder:
         ]
         want = [call() for call in calls]
         for module in (partition_module, phi_module, noncrossing):
-            if hasattr(module, "_renumber"):
-                monkeypatch.setattr(module, "_renumber", refuse)
-        for kernel in (_relabel, noncrossing._kreweras, noncrossing._rotate):
-            monkeypatch.setattr(kernel, "__defaults__", (refuse,))
-        assert [call() for call in calls] == want
+            monkeypatch.setattr(module, "_grow", counted)
+        for call, q in zip(calls, want):
+            grown.clear()
+            assert call() == q
+            assert len(grown) == 1
 
 
 class TestComplement:

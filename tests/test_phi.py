@@ -15,7 +15,7 @@ from conjlab import (
     phi_trace,
     reduce_core,
 )
-from conjlab.partition import _partition, ranks
+from conjlab.partition import _lazy, ranks
 
 from conftest import all_partitions
 
@@ -137,8 +137,8 @@ class TestExhaustiveSmall:
 def phi_and_core(p):
     """(phi(p), reduce_core(p)) from the one strip of the array kernel."""
     _, labels, bid = ranks(p.blocks)
-    g, core = phi_module._phi_growth(bid, list(map(len, p.blocks)))
-    return _partition(g[1:], labels), phi_module._core(core, bid, labels)
+    grown, core = phi_module._phi_growth(bid, list(map(len, p.blocks)))
+    return _lazy(*grown, labels), phi_module._core(core, bid, labels)
 
 
 class TestPhiAndCore:
@@ -165,14 +165,14 @@ class TestGrowthStringKernels:
             sizes = list(map(len, p.blocks))
             bare = SetPartition(p.blocks)
             trace = phi_trace(bare)
-            qg, core = phi_module._phi_growth(g, sizes)
+            (qg, qsizes), core = phi_module._phi_growth(g, sizes)
             q = phi(bare)
-            assert _partition(qg[1:]) == q == trace.result
+            assert _lazy(qg, qsizes) == q == trace.result
             assert qg == tuple(ranks(q.blocks)[2])
             assert phi_module._core(core, g) == reduce_core(bare) == trace.core
-            ig, _ = phi_module._phi_growth(g, sizes, True)
-            assert _partition(ig[1:]) == phi_inverse(bare)
-            assert phi(_partition(ig[1:])) == bare
+            (ig, isizes), _ = phi_module._phi_growth(g, sizes, True)
+            assert _lazy(ig, isizes) == phi_inverse(bare)
+            assert phi(_lazy(ig, isizes)) == bare
 
     def test_results_hand_their_growth_string_on(self, sparse_samples):
         for p in sparse_samples:

@@ -216,9 +216,9 @@ def viewed_inputs():
     out += [phi_module.phi(p) for p in iter_set_partitions_of([2, 4, 5, 9])]
     for p in iter_set_partitions(4):
         m, _, g = p._view
-        out.append(partition._lazy((m, list(range(m + 1)), g), p._sizes))
+        out.append(partition._lazy(g, p._sizes, list(range(m + 1))))
         spread = [0, 1, 2, 3, 5]  # rank 4 is the element 5
-        out.append(partition._lazy((m, spread, g), p._sizes))
+        out.append(partition._lazy(g, p._sizes, spread))
     return out
 
 

@@ -16,7 +16,7 @@ from conjlab.cli import main
 from conjlab.compositions import Composition, conjugate_composition, mu
 from conjlab.enumeration import rgs_prefixes
 from conjlab.noncrossing import find_crossing
-from conjlab.partition import _partition, _renumber
+from conjlab.partition import _grow, _lazy
 from conjlab.separate import _combine
 
 compositions_module = importlib.import_module("conjlab.compositions")
@@ -306,7 +306,6 @@ class TestArrayShard:
     OBJECT_MAPS = (
         "phi",
         "phi_inverse",
-        "_map",
         "_complement",
         "complement",
         "conjugate",
@@ -748,9 +747,9 @@ class TestUnionMaximal:
 
     def test_matches_the_object_version(self, union_inputs):
         verdicts = Counter()
-        for p, kg in union_inputs:
-            got = verify_module._union_maximal(p._view[2], kg)
-            assert got == object_union_maximal(p, _partition(kg[1:])), (str(p), kg)
+        for p, kg, ksizes in union_inputs:
+            got = verify_module._union_maximal(p._view[2], p._sizes, kg, ksizes)
+            assert got == object_union_maximal(p, _lazy(kg, ksizes)), (str(p), kg)
             verdicts[got[1].split(" ", 1)[0]] += 1
         # Complements pass; split and merged gap blocks fail both ways.
         assert set(verdicts) == {"", "union", "gap"}
@@ -760,8 +759,8 @@ class TestUnionMaximal:
 
         def split_last(bid, sizes):
             # Rank m leaves its gap block for a block of its own.
-            kg = real(bid, sizes)
-            return _renumber([*kg[1:-1], len(kg) - 1])
+            kg, _ = real(bid, sizes)
+            return _grow([*kg[1:-1], len(kg) - 1])
 
         monkeypatch.setattr(verify_module, "_kreweras", split_last)
         fails = failing(verify_suite(5, 2))
