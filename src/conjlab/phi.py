@@ -32,7 +32,10 @@ compile it; the two paths are compared exhaustively in the tests.
 A full scan per step makes a strip O(m x steps) on a support of size m,
 and nested inputs take about m/2 steps.  So once its scans would pass
 _SCAN_PASSES x m elements, a strip finishes on a worklist over a linked
-list of the live elements, and is O(m) on every input.
+list of the live elements, and is O(m) on every input.  The last full
+scan hands the worklist the only candidates of the next step (the live
+predecessors of its kills, and the blocks it left with one live rank),
+so the worklist does work only for the ranks it kills.
 """
 
 from __future__ import annotations
@@ -60,19 +63,22 @@ def _strip(bid, sizes, invert: bool):
     step re-inserts it into that element's block.
     Returns (core, link): core the ranks never killed, in scan order, and
     link[r] the rank r is linked to (r itself if none).
-    Steps scan the whole live list until the scans would pass
-    _SCAN_PASSES x m elements, then _worklist finishes: O(m) in all.
+    Steps scan the whole live list until the next step would push the
+    scans past _SCAN_PASSES x m elements.  Then _worklist finishes from
+    the candidates of that step: the live predecessor of each run of
+    ranks the last scan killed (cyclically), and each block its initiator
+    kills left with one live rank, both in scan order.  O(m) in all.  A
+    budget spent before the first scan hands over every rank instead.
     """
     m = len(bid) - 1
     sizes = list(sizes)
     link = list(range(m + 1))
     dead = [False] * (m + 1)
     live = list(range(m, 0, -1)) if invert else link[1:]
-    budget = _SCAN_PASSES * m
+    budget = (_SCAN_PASSES - 1) * m  # what the scans after the first may spend
+    if budget < 0:
+        return _worklist(live, [bid[x] for x in live], live, bid, sizes, link, dead), link
     while live:
-        budget -= len(live)
-        if budget < 0:
-            return _worklist(live, bid, sizes, link, dead), link
         ends = []
         prev = live[-1]
         pb = bid[prev]
@@ -95,18 +101,28 @@ def _strip(bid, sizes, invert: bool):
             # Every live element was a singleton: the links close a cycle
             # through all of them, and one fewer link joins them as well.
             link[live[0]] = live[0]
+        budget -= len(rest)
+        if budget < 0:
+            cut = [bid[x] for x in rest if sizes[bid[x]] == 1]
+            starts = [x for x, y in zip(live, [*live[1:], live[0]]) if dead[y] and not dead[x]]
+            return _worklist(rest, cut, starts, bid, sizes, link, dead), link
         live = rest
     return live, link
 
 
-def _worklist(live, bid, sizes, link, dead) -> list[int]:
+def _worklist(live, cut, starts, bid, sizes, link, dead) -> list[int]:
     """Finish a strip from its live ranks live, in scan order, updating
     _strip's sizes, link and dead; return the core in scan order.
+    cut and starts are the candidates of the first step: the blocks that
+    may be left with a single live rank, and the ranks that may be
+    initiators, in scan order.
     The live ranks form a cyclic doubly linked list, so a killed rank is
     unlinked in O(1).  Only the live predecessor of a removed rank can
-    become an initiator, and only the last live rank of a block (the sum
-    of its live ranks) a singleton, so after a first step over every live
-    rank a step checks just those candidates: O(len(live)) in all.
+    become an initiator, and only a block that loses an initiator can
+    become a singleton, whose rank is the sum of its live ranks.  So each
+    step collects the blocks it cuts and, while it unlinks its kills, the
+    next step's starts: a step costs O(its kills and the last step's),
+    O(len(live)) in all.
     """
     prv = [0] * len(link)
     nxt = prv[:]
@@ -115,17 +131,19 @@ def _worklist(live, bid, sizes, link, dead) -> list[int]:
         prv[x], nxt[p] = p, x
         sums[bid[x]] += x
     left = len(live)
-    singles = starts = live
-    while left:
+    while left > 0:
         # Singletons read the block sizes of the step's start, so go first.
         killed = []
-        for x in singles:
-            if not dead[x] and sizes[bid[x]] == 1:
+        for b in cut:
+            x = sums[b]
+            if sizes[b] == 1 and not dead[x]:
                 link[x] = prv[x]
                 dead[x] = True
                 killed.append(x)
         lone = len(killed)
-        # dead keeps a predecessor of several killed ranks from counting twice.
+        cut = []
+        # A predecessor comes once per rank of the run it precedes: dead
+        # keeps it from counting twice.
         for x in starts:
             b = bid[x]
             if not dead[x] and bid[nxt[x]] == b:
@@ -133,16 +151,18 @@ def _worklist(live, bid, sizes, link, dead) -> list[int]:
                 sums[b] -= x
                 dead[x] = True
                 killed.append(x)
+                cut.append(b)
         if not killed:
             break
         if lone == left:
             link[killed[0]] = killed[0]  # break the cycle, as in _strip
         left -= len(killed)
-        singles = [sums[bid[x]] for x in killed[lone:] if sizes[bid[x]] == 1]
-        starts = [prv[x] for x in killed]
+        starts = []
         for x in killed:
             p, q = prv[x], nxt[x]
             nxt[p], prv[q] = q, p
+            if not dead[p]:
+                starts.append(p)
     return [x for x in live if not dead[x]]
 
 

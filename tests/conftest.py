@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 
 import pytest
 
@@ -10,6 +12,16 @@ from conjlab.partition import _grow
 
 def all_partitions(n: int) -> list[SetPartition]:
     return list(iter_set_partitions(n))
+
+
+def source_mutant(module, name, old, new):
+    """module.name recompiled from its own source with the text old,
+    which must occur exactly once, replaced by new."""
+    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert src.count(old) == 1, f"{old!r} not once in {name}"
+    namespace = dict(vars(module))
+    exec(compile(src.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
 
 
 @pytest.fixture(scope="session")

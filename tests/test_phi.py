@@ -1,4 +1,7 @@
+from contextlib import contextmanager
 import importlib
+import random
+import signal
 
 import pytest
 
@@ -7,6 +10,7 @@ from conjlab import (
     DomainError,
     SetPartition,
     adjacency_profile,
+    complement,
     conjugate,
     kreweras_complement,
     parse_partition,
@@ -17,7 +21,7 @@ from conjlab import (
 )
 from conjlab.partition import _lazy, ranks
 
-from conftest import all_partitions
+from conftest import all_partitions, source_mutant
 
 P = parse_partition
 phi_module = importlib.import_module("conjlab.phi")
@@ -297,3 +301,165 @@ class TestWorklist:
             phi(p)
             phi_inverse(p)
         assert len(worklist_calls) < len(all_partitions(7)) // 100
+
+    def test_default_budget_sends_36_strips_of_n_le_9_to_the_worklist(self, worklist_calls):
+        # The budget alone decides where a strip hands off, so the strips
+        # of the exhaustive sweeps that reach the worklist are exactly these.
+        strips = 0
+        for n in range(1, 10):
+            for p in all_partitions(n):
+                phi(p)
+                phi_inverse(p)
+                strips += 2
+        assert (len(worklist_calls), strips) == (36, 52_884)
+
+
+def deep_nested(rng: random.Random, n: int, core=()) -> SetPartition:
+    """A seeded partition of [n] nested about n/2.2 deep around the blocks
+    of core, given relative to the middle of [n], so that phi strips one
+    level per step.  Working inwards from both ends, a level is a pair
+    {lo, hi}, a triple {lo, lo+1, hi} or {lo, hi-1, hi}, or a singleton
+    {lo}, at the fixed shares 12 : 3 : 3 : 2."""
+    mid = len({x for blk in core for x in blk})
+    shapes = ["pair"] * 12 + ["left"] * 3 + ["right"] * 3 + ["single"] * 2
+    shapes *= n // len(shapes) + 1  # a level takes at least one element
+    rng.shuffle(shapes)
+    blocks = []
+    lo, hi = 1, n - mid
+    for shape in shapes:
+        if lo > hi:
+            break
+        if lo == hi or shape == "single":
+            blocks.append((lo,))
+            lo += 1
+        elif hi - lo < 2 or shape == "pair":
+            blocks.append((lo, hi))
+            lo, hi = lo + 1, hi - 1
+        elif shape == "left":
+            blocks.append((lo, lo + 1, hi))
+            lo, hi = lo + 2, hi - 1
+        else:
+            blocks.append((lo, hi - 1, hi))
+            lo, hi = lo + 1, hi - 2
+    # lo is the first element past the innermost level: the core goes there.
+    blocks = [tuple(x + mid * (x >= lo) for x in blk) for blk in blocks]
+    blocks += [tuple(lo - 1 + x for x in blk) for blk in core]
+    return SetPartition(tuple(sorted(blocks)))
+
+
+DEEP_SIZES = (50, 77, 100, 101, 150, 200, 250, 300, 333, 400, 450, 500, 550, 600)
+
+# Strip budgets: every strip on the worklist from the start, after one or
+# two passes, the default, and full scans only.
+BUDGETS = (0, 1, 2, 4, 10**9)
+
+
+@pytest.fixture(scope="module")
+def deep_family():
+    """(p, phi_trace(p)) for a seeded deep_nested partition of each size,
+    noncrossing and around a crossing core in turn."""
+    rng = random.Random(4242)
+    cores = [(), [(1, 3), (2, 4)]]
+    family = [deep_nested(rng, n, cores[i % 2]) for i, n in enumerate(DEEP_SIZES)]
+    return [(p, phi_trace(p)) for p in family]
+
+
+def check_deep_family(monkeypatch, family):
+    """At every strip budget, phi, phi_inverse, reduce_core and conjugate
+    agree with the record-based trace on each (p, trace) of family, and
+    phi_inverse(p), which has no trace, is the same and inverts phi."""
+    inverses = []
+    for passes in BUDGETS:
+        # _strip reads the budget from its own globals, which a mutant of
+        # _strip compiled by source_mutant keeps apart from the module's.
+        monkeypatch.setitem(phi_module._strip.__globals__, "_SCAN_PASSES", passes)
+        inverse = []
+        for p, trace in family:
+            n = len(p.support)
+            assert phi(p) == trace.result, (passes, n)
+            assert phi_inverse(trace.result) == p, (passes, n)
+            assert reduce_core(p) == trace.core, (passes, n)
+            assert conjugate(p, n) == complement(trace.result, n), (passes, n)
+            inverse.append(phi_inverse(p))
+            assert phi(inverse[-1]) == p, (passes, n)
+        inverses.append(inverse)
+    assert all(inverse == inverses[0] for inverse in inverses)
+
+
+class Looped(Exception):
+    """A strip ran past its time limit."""
+
+
+@contextmanager
+def ends_within(seconds: float):
+    """Raise Looped in the block once it has run for seconds."""
+
+    def stop(signum, frame):
+        raise Looped(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestDeepFamily:
+    """Seeded deep nested inputs of 50 to 600 elements, whose strips take
+    about n/2 steps and so end on the worklist."""
+
+    def test_maps_agree_across_budgets_and_with_the_trace(self, monkeypatch, deep_family):
+        check_deep_family(monkeypatch, deep_family)
+
+    def test_default_budget_reaches_the_worklist(self, deep_family, worklist_calls):
+        for p, _ in deep_family:
+            if len(p.support) >= 100:
+                worklist_calls.clear()
+                phi(p)
+                phi_inverse(p)
+                assert len(worklist_calls) == 2
+
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            pytest.param(
+                "_worklist",
+                "                sums[b] -= x\n                dead[x] = True\n",
+                "                sums[b] -= x\n",
+                id="taken-predecessor-not-marked-dead",
+            ),
+            pytest.param(
+                "_worklist",
+                "starts.append(p)",
+                "starts.append(q)",
+                id="predecessor-left-out-of-starts",
+            ),
+            pytest.param(
+                "_worklist",
+                "                cut.append(b)\n",
+                "",
+                id="lone-block-not-offered-as-singleton",
+            ),
+            pytest.param(
+                "_strip",
+                "zip(live, [*live[1:], live[0]])",
+                "zip(live, live[1:])",
+                id="wrapped-run-predecessor-not-handed-over",
+            ),
+        ],
+    )
+    def test_worklist_mutant_fails(self, monkeypatch, deep_family, name, old, new):
+        monkeypatch.setattr(phi_module, name, source_mutant(phi_module, name, old, new))
+        with ends_within(30), pytest.raises(AssertionError):
+            check_deep_family(monkeypatch, deep_family)
+
+    def test_all_ranks_start_is_a_passing_control(self, monkeypatch, deep_family):
+        # Handing the worklist every live rank, as a budget spent before
+        # any scan does, is slower but right.
+        old = "_worklist(rest, cut, starts,"
+        new = "_worklist(rest, [bid[x] for x in rest], rest,"
+        monkeypatch.setattr(phi_module, "_strip", source_mutant(phi_module, "_strip", old, new))
+        with ends_within(30):
+            check_deep_family(monkeypatch, deep_family)

@@ -3,11 +3,9 @@ import concurrent.futures
 from concurrent.futures import Future
 import hashlib
 import importlib
-import inspect
 import json
 import multiprocessing
 from pathlib import Path
-import textwrap
 
 import pytest
 
@@ -18,6 +16,8 @@ from conjlab.enumeration import rgs_prefixes
 from conjlab.noncrossing import find_crossing
 from conjlab.partition import _grow, _lazy
 from conjlab.separate import _combine
+
+from conftest import source_mutant
 
 compositions_module = importlib.import_module("conjlab.compositions")
 noncrossing_module = importlib.import_module("conjlab.noncrossing")
@@ -51,16 +51,6 @@ def reversed_conjugate_composition(c):
 
 def mu_off_at_n1(c):
     return mu(c) + (c.n == 1)
-
-
-def source_mutant(module, name, old, new):
-    """module.name recompiled from its own source with the text old,
-    which must occur exactly once, replaced by new."""
-    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
-    assert src.count(old) == 1, f"{old!r} not once in {name}"
-    namespace = dict(vars(module))
-    exec(compile(src.replace(old, new), module.__file__, "exec"), namespace)
-    return namespace[name]
 
 
 def failing(report):
