@@ -142,7 +142,7 @@ def _worklist(live, cut, starts, bid, sizes, link, dead) -> list[int]:
                 killed.append(x)
         lone = len(killed)
         cut = []
-        # A predecessor comes once per rank of the run it precedes: dead
+        # A predecessor can come once per rank of the run it precedes: dead
         # keeps it from counting twice.
         for x in starts:
             b = bid[x]
