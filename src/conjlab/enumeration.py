@@ -4,12 +4,16 @@ Set partitions of {1..n} are generated one per restricted growth string
 (a_1 = 0, a_{i+1} <= 1 + max of the prefix) in lexicographic order, so an
 enumeration splits into independent sub-ranges by fixing a prefix; the
 shards cover the whole space exactly once and can run concurrently.
-Each partition carries its growth string, the form the partition kernels
-work on, as its rank view (n, None, (0, a_1, ..., a_n)), and its block
-sizes, and nothing more.  Lex order changes only a tail of the string
-(Knuth, TAOCP 4A, 7.2.1.5), so a step updates only the sizes of the
-blocks whose elements it moves.  A partition builds its blocks only when
-they are read; which tuple a block gets is decided in partition alone.
+iter_set_partitions is the one walk over the strings; iter_rgs and the
+shard keys of rgs_prefixes read theirs from it.  Each partition carries
+its growth string, the form the partition kernels work on, as its rank
+view (n, None, (0, a_1, ..., a_n)), and its block sizes, and nothing
+more.  Lex order changes only a tail of the string (Knuth, TAOCP 4A,
+7.2.1.5), so a step updates only the sizes of the blocks whose elements
+it moves.  A partition builds its blocks only when they are read; which
+tuple a block gets is decided in partition alone.  The (singletons,
+adjacencies) distribution and the adjacency-free counts read one tally
+of (blocks, singletons, adjacencies) over the walk.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .partition import (
     N_MAX_HARD,  # re-exported: the bound of the partition sweeps
     SetPartition,
     _lazy,
-    adjacency_profile,
+    _profile,
     canonicalize,
 )
 
@@ -67,42 +71,11 @@ def _check_prefix(n: int, prefix: tuple[int, ...]) -> None:
         top = max(top, letter)
 
 
-def _rgs_walk(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[list[int], int]]:
-    """Restricted growth strings of length n >= 1 extending prefix, in lex
-    order, as (a, i): the one list a, updated in place, and the first
-    position whose letter changed since the previous string (0 at first).
-    """
-    plen = max(len(prefix), 1)  # a[0] is pinned to 0
-    a = list(prefix) + [0] * (n - len(prefix))
-    bmax = [0] * n  # bmax[i] = max(a[0..i-1])
-    run = a[0]
-    for i in range(1, n):
-        bmax[i] = run
-        if a[i] > run:
-            run = a[i]
-    i = 0
-    while True:
-        yield a, i
-        i = n - 1
-        while i >= plen and a[i] == bmax[i] + 1:
-            i -= 1
-        if i < plen:
-            return
-        a[i] += 1
-        run = bmax[i] if bmax[i] >= a[i] else a[i]
-        for j in range(i + 1, n):
-            a[j] = 0
-            bmax[j] = run
-
-
 def iter_rgs(n: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """Restricted growth strings of length n extending prefix, in lex order."""
-    _check_prefix(n, prefix)
-    if n == 0:
-        yield ()
-        return
-    for a, _ in _rgs_walk(n, prefix):
-        yield tuple(a)
+    """Restricted growth strings of length n extending prefix, in lex order:
+    those of the partitions of iter_set_partitions(n, prefix)."""
+    for p in iter_set_partitions(n, prefix):
+        yield p._view[2][1:]
 
 
 def rgs_prefixes(n: int, depth: int) -> list[tuple[int, ...]]:
@@ -115,13 +88,15 @@ def rgs_prefixes(n: int, depth: int) -> list[tuple[int, ...]]:
 def iter_set_partitions(
     n: int, prefix: tuple[int, ...] = ()
 ) -> Iterator[SetPartition]:
-    """All partitions of {1..n} (restricted to a growth-string prefix if given).
+    """All partitions of {1..n} (restricted to a growth-string prefix if given),
+    one per growth string a, in lex order.
 
-    Follows the growth strings of iter_rgs in the same order.  After the
-    first, a string raises letter i by one and resets the letters after it
-    to 0; those were at their maxima, so elements i + 2..n each sat alone
-    in one of the last blocks.  So a step drops those blocks, moves element
-    i + 1 from block a[i] - 1 to block a[i], and adds elements i + 2..n to
+    The walk keeps one list a and bmax[i], the largest of a[0..i-1].
+    After the first string it raises the last letter i, behind the prefix,
+    that is below bmax[i] + 1, and resets the letters after it to 0; those
+    were at their maxima, so elements i + 2..n each sat alone in one of
+    the last blocks.  So a step drops those blocks, moves element i + 1
+    from block a[i] - 1 to block a[i], and adds elements i + 2..n to
     block 0: it updates the block sizes so.  Each partition builds its
     blocks when they are read.
     """
@@ -129,20 +104,34 @@ def iter_set_partitions(
     if n == 0:
         yield EMPTY
         return
-    sizes: list[int] = []
-    for a, i in _rgs_walk(n, prefix):
-        if not sizes:  # the first string
-            sizes = [a.count(k) for k in range(max(a) + 1)]
-        else:
-            j = len(sizes) + i + 1 - n  # the blocks of elements i + 2..n
-            del sizes[j:]
-            c = a[i]
-            if c == j:
-                sizes.append(0)
-            sizes[c - 1] -= 1
-            sizes[c] += 1
-            sizes[0] += n - i - 1
+    plen = max(len(prefix), 1)  # a[0] is pinned to 0
+    a = list(prefix) + [0] * (n - len(prefix))
+    bmax = [0] * n
+    run = a[0]
+    for i in range(1, n):
+        bmax[i] = run
+        if a[i] > run:
+            run = a[i]
+    sizes = [a.count(k) for k in range(run + 1)]
+    while True:
         yield _lazy((0, *a), sizes[:])
+        i = n - 1
+        while i >= plen and a[i] == bmax[i] + 1:
+            i -= 1
+        if i < plen:
+            return
+        c = a[i] = a[i] + 1
+        j = len(sizes) + i + 1 - n  # the blocks of elements i + 2..n
+        del sizes[j:]
+        if c == j:
+            sizes.append(0)
+        sizes[c - 1] -= 1
+        sizes[c] += 1
+        sizes[0] += n - i - 1
+        run = bmax[i] if bmax[i] >= c else c
+        for j in range(i + 1, n):
+            a[j] = 0
+            bmax[j] = run
 
 
 def iter_set_partitions_of(elements: Iterable[int]) -> Iterator[SetPartition]:
@@ -217,17 +206,25 @@ class DistributionTable(NamedTuple):
         return _asymmetric_pair(self.counts) is None
 
 
+def _tally(n: int) -> dict[tuple[int, int, int], int]:
+    """Counts of (blocks, singletons, adjacencies) over the partitions of
+    {1..n}, each key first met in lex order of growth strings."""
+    counts: dict[tuple[int, int, int], int] = {}
+    for p in iter_set_partitions(n):
+        sizes = p._sizes
+        ini, _, sing = _profile(p._view[2], sizes)
+        key = (len(sizes), len(sing), len(ini))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def distribution(n: int, pair: str) -> DistributionTable:
     """Tabulate (singletons, adjacencies) over partitions of {1..n}, or
     (mu, nu) over compositions of n."""
     counts: dict[tuple[int, int], int] = {}
     if pair == PAIR_SING_ADJ:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        for p in iter_set_partitions(n):
-            prof = adjacency_profile(p)
-            key = (len(prof.singletons), prof.adjacency_count)
-            counts[key] = counts.get(key, 0) + 1
+        for (_, s, a), v in _tally(n).items():
+            counts[s, a] = counts.get((s, a), 0) + v
     elif pair == PAIR_MU_NU:
         from .compositions import mu, nu
 
@@ -245,8 +242,4 @@ def count_adjacency_free(n: int, k: int) -> int:
     Note {1} itself is one adjacency (succ(1) = 1), so the count for
     n = k = 1 is 0.
     """
-    total = 0
-    for p in iter_set_partitions(n):
-        if len(p._sizes) == k and adjacency_profile(p).adjacency_count == 0:
-            total += 1
-    return total
+    return sum(v for (blocks, _, adj), v in _tally(n).items() if blocks == k and not adj)

@@ -245,12 +245,6 @@ def _grow(keys, top=None) -> tuple[tuple[int, ...], list[int]]:
     return tuple(g), sizes
 
 
-def _partition(keys, labels=None) -> SetPartition:
-    """The partition of _grow(keys), its ranks read through labels (None:
-    rank r is r); it builds its blocks when they are read."""
-    return _lazy(*_grow(keys), labels)
-
-
 def _core(core, bid, labels=None) -> SetPartition:
     """The core blocks of a forward strip of phi: its core ranks, which
     it lists increasing, by block of bid; over [m], m <= N_MAX_HARD,

@@ -27,7 +27,7 @@ from itertools import compress, islice
 from typing import NamedTuple
 
 from .errors import CombineDomainError
-from .partition import SetPartition, _grow, _lazy, _partition, _profile, format_partition
+from .partition import SetPartition, _grow, _lazy, _profile, format_partition
 
 ROLE_IS = "IS"
 ROLE_ST = "ST"
@@ -97,7 +97,7 @@ def _combine(rho: SetPartition, a_set, b_set, with_succ: bool) -> SetPartition |
     own = rho.support
     n = len(own) + len(a_set) + len(b_set)
     if not own and len(a_set) == 1 and a_set == b_set:  # the one-element form
-        return _partition([0], None if 1 in a_set else [0, *a_set])
+        return _lazy((0, 0), [1], None if 1 in a_set else [0, *a_set])
     # Positions 1..n are the elements, unless one lies above n: then the
     # universe has gaps, and its sorted elements are ranked.
     labels = None

@@ -75,7 +75,6 @@ from .partition import (
     SetPartition,
     _core,
     _lazy,
-    _partition,
     _profile,
     _relabel,
     adjacency_profile,
@@ -197,9 +196,10 @@ def _outcome(check) -> str | None:
         return _raised(exc)
 
 
-def _text(g) -> str:
-    """A growth string in dash notation, for counterexample text."""
-    return format_partition(_partition(g[1:]))
+def _text(g, sizes) -> str:
+    """A growth string with its block sizes in dash notation, for
+    counterexample text."""
+    return format_partition(_lazy(g, sizes))
 
 
 def _with_step(tail: tuple, step: tuple, back, tau, source=None) -> tuple:
@@ -307,7 +307,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             row = "phi-statistic-interchange"
             _, qter, qsing = _profile(qg, qsizes)
             if not (qsing == ini and qter == sing):
-                _fail(fails, row, f"{text()} phi(p)={_text(qg)}")
+                _fail(fails, row, f"{text()} phi(p)={_text(qg, qsizes)}")
             row = "phi-inverse-identity"
             if _phi_growth(qg, qsizes, True)[0][0] != g:
                 _fail(fails, row, text())
@@ -317,7 +317,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             cq, cqsizes = _relabel(qg)  # the conjugate of p
             involution_ok = _relabel(_phi_growth(cq, cqsizes)[0][0])[0] == g
             if not involution_ok:
-                _fail(fails, row, f"{text()} conj(p)={_text(cq)}")
+                _fail(fails, row, f"{text()} conj(p)={_text(cq, cqsizes)}")
             row = "conjugate-interchange"
             cqini, _, cqsing = _profile(cq, cqsizes)
             conj_interchange_ok = len(cqsing) == nadj and len(cqini) == nsing
@@ -352,7 +352,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             row = "nc-graphical-phi"
             kg, ksizes = _kreweras(g, sizes)  # the gaps of p
             if kg != qg:
-                _fail(fails, row, f"{text()} gaps={_text(kg)}")
+                _fail(fails, row, f"{text()} gaps={_text(kg, ksizes)}")
             row = "nc-graphical-conjugate"
             if _relabel(kg)[0] != cq:
                 _fail(fails, row, text())

@@ -1,13 +1,24 @@
 import inspect
+import os
+from pathlib import Path
 import random
 import textwrap
 
 import pytest
 
+import conjlab
 from conjlab import SetPartition, iter_set_partitions, random_partition
 from conjlab.enumeration import rgs_prefixes
 from conjlab.noncrossing import _kreweras
 from conjlab.partition import _grow
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child Python process: this one's, with the
+    directory that holds the conjlab under test first on PYTHONPATH."""
+    src = str(Path(conjlab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 def all_partitions(n: int) -> list[SetPartition]:

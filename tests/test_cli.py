@@ -12,6 +12,8 @@ import pytest
 from conjlab import ParseError, bell_number, canonicalize, parse_composition, parse_partition, phi
 from conjlab.cli import COMPOSITION_N_CAP, ENUM_BELL_CAP, TRACE_N_CAP, main
 
+from conftest import child_env
+
 # Pinned outputs of the benchmark, read-only here.
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
@@ -312,6 +314,7 @@ class TestNonAsciiDigits:
     def test_cli_exits_one_without_traceback(self, parse, argv, text):
         proc = subprocess.run(
             [sys.executable, "-m", "conjlab", *argv, text],
+            env=child_env(),
             capture_output=True,
             text=True,
         )
@@ -441,6 +444,7 @@ class TestModuleEntryPoint:
     def test_python_dash_m(self):
         proc = subprocess.run(
             [sys.executable, "-m", "conjlab", "phi", "1 3 - 2"],
+            env=child_env(),
             capture_output=True,
             text=True,
         )
@@ -450,6 +454,7 @@ class TestModuleEntryPoint:
     def test_python_dash_m_error_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "conjlab", "conjugate", "2 - 3"],
+            env=child_env(),
             capture_output=True,
             text=True,
         )

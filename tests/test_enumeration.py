@@ -1,5 +1,6 @@
-import random
 from itertools import product
+import math
+import random
 
 import pytest
 
@@ -9,6 +10,8 @@ from conjlab import (
     PAIR_SING_ADJ,
     DistributionTable,
     InvalidPartitionError,
+    SetPartition,
+    adjacency_profile,
     bell_number,
     catalan_number,
     count_adjacency_free,
@@ -37,6 +40,12 @@ class TestCountingFunctions:
 
 
 class TestRgsEnumeration:
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_equals_the_brute_force_list(self, n):
+        assert list(iter_rgs(n)) == growth_strings(n)
+        for prefix in rgs_prefixes(n, 3):
+            assert list(iter_rgs(n, prefix)) == growth_strings(n, prefix)
+
     def test_hand_list_n3(self):
         assert list(iter_rgs(3)) == [
             (0, 0, 0),
@@ -92,19 +101,38 @@ class TestRgsEnumeration:
             rgs_prefixes(3, -1)
 
 
-def rebuilt(n, prefix=()):
-    """(blocks, view) of each partition of [n] in the lex order of iter_rgs,
-    with its blocks made afresh from its growth string."""
+def growth_strings(n, prefix=()):
+    """The restricted growth strings of length n extending prefix, in lex
+    order, by brute force: of the words whose letter i (from 0) is at most
+    i, those in which each letter is at most one more than the largest
+    before it, and the first is 0."""
     out = []
-    for a in iter_rgs(n, prefix):
-        blocks: list[list[int]] = []
-        for x, b in enumerate(a, 1):
-            if b == len(blocks):
-                blocks.append([x])
-            else:
-                blocks[b].append(x)
-        out.append((tuple(map(tuple, blocks)), (n, None, (0, *a))))
+    for tail in product(*(range(i + 1) for i in range(len(prefix), n))):
+        top = -1
+        for x in prefix + tail:
+            if x > top + 1:
+                break
+            top = max(top, x)
+        else:
+            out.append(prefix + tail)
     return out
+
+
+def blocks_of(a):
+    """The blocks of the growth string a, each element appended to its block."""
+    blocks: list[list[int]] = []
+    for x, b in enumerate(a, 1):
+        if b == len(blocks):
+            blocks.append([x])
+        else:
+            blocks[b].append(x)
+    return tuple(map(tuple, blocks))
+
+
+def rebuilt(n, prefix=()):
+    """(blocks, view) of each partition of [n] in the lex order of its
+    growth strings, with its blocks made afresh from its growth string."""
+    return [(blocks_of(a), (n, None, (0, *a))) for a in growth_strings(n, prefix)]
 
 
 class TestSharedBlockTuples:
@@ -310,6 +338,43 @@ class TestAdjacencyFreeCounts:
 
     def test_one_element_is_never_adjacency_free(self):
         assert count_adjacency_free(1, 1) == 0
+
+
+def chromatic_count(n, k):
+    """k-block partitions of the cycle C_n into independent sets: the
+    chromatic polynomial (x - 1)^n + (-1)^n (x - 1) of C_n in falling
+    factorials of x, read at x^(k) / k!."""
+    total = sum(
+        (-1) ** (k - j) * math.comb(k, j) * ((j - 1) ** n + (-1) ** n * (j - 1))
+        for j in range(k + 1)
+    )
+    assert total % math.factorial(k) == 0
+    return total // math.factorial(k)
+
+
+class TestTally:
+    """distribution and count_adjacency_free read one (blocks, singletons,
+    adjacencies) tally; a loop over adjacency_profile of the partitions of
+    brute-force growth strings is its oracle."""
+
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_equals_a_loop_over_adjacency_profiles(self, n):
+        dist: dict[tuple[int, int], int] = {}
+        free = [0] * (n + 1)
+        for a in growth_strings(n):
+            p = SetPartition(blocks_of(a))
+            prof = adjacency_profile(p)
+            key = (len(prof.singletons), prof.adjacency_count)
+            dist[key] = dist.get(key, 0) + 1
+            free[len(p.blocks)] += not prof.adjacency_count
+        # The same counts, in the same order of first appearance.
+        assert list(distribution(n, PAIR_SING_ADJ).counts.items()) == list(dist.items())
+        assert [count_adjacency_free(n, k) for k in range(n + 1)] == free
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_adjacency_free_counts_follow_the_chromatic_polynomial(self, n):
+        for k in range(1, n + 1):
+            assert count_adjacency_free(n, k) == chromatic_count(n, k), (n, k)
 
 
 def test_partition_text_fixture():

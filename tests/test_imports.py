@@ -6,8 +6,6 @@ imported every module.
 
 import ast
 import json
-import os
-from pathlib import Path
 import subprocess
 import sys
 
@@ -15,7 +13,7 @@ import pytest
 
 import conjlab
 
-SRC = str(Path(conjlab.__file__).resolve().parents[1])
+from conftest import child_env
 
 # Modules that only verify, trace, render, enumerate, comp and kreweras need.
 DEFERRED = (
@@ -107,10 +105,8 @@ SUBMODULES = (
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *args], env=child_env(), capture_output=True, text=True, check=True
     )
 
 

@@ -1,6 +1,5 @@
 from collections import Counter
 import importlib
-import os
 import pickle
 import subprocess
 import sys
@@ -31,14 +30,13 @@ from conjlab.enumeration import iter_set_partitions
 from conjlab.partition import (
     _grow,
     _lazy,
-    _partition,
     _profile,
     _relabel,
     partition_to_blocks,
     ranks,
 )
 
-from conftest import all_partitions
+from conftest import all_partitions, child_env
 
 # conjlab.phi is the function; its module is imported by name.
 phi_module = importlib.import_module("conjlab.phi")
@@ -128,11 +126,9 @@ class TestCanonicalForm:
             "import pickle; from conjlab import EMPTY; fresh = pickle.dumps(EMPTY, 4); "
             "assert EMPTY.support == (); print(fresh == pickle.dumps(EMPTY, 4))"
         )
-        path = [os.path.dirname(os.path.dirname(partition_module.__file__))]
-        path += filter(None, [os.environ.get("PYTHONPATH")])
         out = subprocess.run(
             [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+            env=child_env(),
             capture_output=True,
             text=True,
             check=True,
@@ -344,8 +340,8 @@ def builder_keys(p):
 
 
 class TestOnePassBuilder:
-    """_partition builds a result from the keys of a kernel in one pass;
-    the two-pass builder it replaced is the oracle."""
+    """_lazy(*_grow(keys), labels) builds a result from the keys of a
+    kernel in one pass; the two-pass builder it replaced is the oracle."""
 
     def test_equals_the_two_pass_builder(self, kernel_inputs):
         builds = 0
@@ -354,7 +350,7 @@ class TestOnePassBuilder:
             sparse = list(range(0, 3 * n + 1, 3))  # rank r is 3r
             for keys in builder_keys(p):
                 for labels in (None, sparse):
-                    q = _partition(keys, labels)
+                    q = _lazy(*_grow(keys), labels)
                     assert (q.blocks, q._view) == two_pass_partition(keys, labels)
                     builds += 1
         assert builds > 300_000
@@ -363,7 +359,7 @@ class TestOnePassBuilder:
         for p in sparse_samples:
             for invert in (False, True):
                 keys, labels = phi_roots(p, invert), p._view[1]
-                q = _partition(keys, labels)
+                q = _lazy(*_grow(keys), labels)
                 assert (q.blocks, q._view) == two_pass_partition(keys, labels)
                 assert q == (phi_inverse(p) if invert else phi(p))
 

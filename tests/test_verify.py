@@ -1,3 +1,4 @@
+import ast
 from collections import Counter
 import concurrent.futures
 from concurrent.futures import Future
@@ -91,6 +92,23 @@ class TestSuitePasses:
             assert rec["status"] == "pass"
             assert rec["failures"] == 0
             assert rec["counterexample"] is None
+
+    def test_every_failing_id_is_a_report_row(self):
+        # The report reads failures only under its own row ids, so a
+        # check that names an undeclared id would be dropped unseen.
+        named = set()
+        for node in ast.walk(ast.parse(Path(verify_module.__file__).read_text())):
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["row"]:
+                value = node.value
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_fail":
+                value = node.args[1]
+            else:
+                continue
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                named.add(value.value)
+        rows = [r.invariant for r in verify_suite(1, 1).results]
+        assert len(rows) == len(set(rows)) == 41
+        assert named == set(rows)
 
     def test_bounds_validated(self):
         with pytest.raises(DomainError):
