@@ -459,3 +459,22 @@ class TestModuleEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestDispatch:
+    """main loads the handlers of the non-map commands only when one runs,
+    so a subcommand without a handler would show only on its own call."""
+
+    def test_every_subcommand_has_a_handler(self):
+        from conjlab import _commands, cli
+
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        assert set(cli._MAPS) < set(commands.choices)
+        for name in commands.choices:
+            handler = cli._handler(name)
+            assert callable(handler)
+            if name in cli._MAPS:
+                assert handler is cli.cmd_map
+            else:
+                assert handler is getattr(_commands, f"cmd_{name}")
+                assert handler.__module__ == "conjlab._commands"
