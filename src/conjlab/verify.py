@@ -17,17 +17,18 @@ the first counterexample in enumeration order is kept.
 A partition shard runs every invariant on the growth strings that the
 enumeration hands over, through the array kernels of partition, phi and
 noncrossing, and those of separate for the record-based reference path
-(separate/combine and the trace); it keeps a phi image of growth strings
-and reads no partition's blocks but for counterexample text.  The union
-of p and its Kreweras complement is one block-id array too, on the
-interleaved ranks 1..2n; the crossing scan reads it once, and once per
-pair of gap blocks merged.  complement-involution also checks the
-relabel kernel against its definition, written out without it.  The
-trace of p is its first strip step and the trace of the remainder, which
-many partitions share, so each distinct remainder is traced once per
-shard.  A check that raises inside a shard, a composition sweep or the
-fixed checks fails its row, and its counterexample names the exception
-type.
+(separate/combine and the trace); for n <= IMAGE_CAP it returns its phi
+images as a sorted list of distinct byte keys, which the parent counts
+by merging the shards' lists, so it holds no image set.  A shard reads
+no partition's blocks but for counterexample text.  The union of p and
+its Kreweras complement is one block-id array too, on the interleaved
+ranks 1..2n; the crossing scan reads it once, and once per pair of gap
+blocks merged.  complement-involution also checks the relabel kernel
+against its definition, written out without it.  The trace of p is its
+first strip step and the trace of the remainder, which many partitions
+share, so each distinct remainder is traced once per shard.  A check
+that raises inside a shard, a composition sweep or the fixed checks
+fails its row, and its counterexample names the exception type.
 
 Each family (partitions, compositions) has one invariant table listing
 (id, scope, largest n) rows in report order; the scope string and the
@@ -38,7 +39,8 @@ takes one table row plus its check (a _fail call in the sweep).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations
+import heapq
+from itertools import chain, combinations, groupby
 import random
 from typing import NamedTuple
 
@@ -100,7 +102,7 @@ from .separate import (
 # their own exhaustive budgets).
 PARSE_CAP = 8  # text round-trip
 TRACE_CAP = 9  # record-based trace checks (exactness, record inverse)
-IMAGE_CAP = 10  # collecting the full image set of phi
+IMAGE_CAP = 10  # counting distinct phi images, as bytes keys (a letter is <= n)
 UNION_CAP = 10  # interleaved-union maximality
 PALINDROME_CAP = 14
 SUBSET_LEX_CAP = 12
@@ -235,10 +237,11 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
     """Run every per-partition invariant over one RGS-prefix shard of [n].
 
     Returns a plain dict (picklable) with counts, failures keyed by
-    invariant id, the phi image as growth strings (when n is small
-    enough), and the singleton/adjacency distribution tally.  A check that
-    raises fails its row (the one named in row when it raised), and the
-    partition's later checks are skipped.
+    invariant id, the phi images as a sorted list of distinct byte keys
+    (bytes of the growth string; None above IMAGE_CAP), and the
+    singleton/adjacency distribution tally.  A check that raises fails
+    its row (the one named in row when it raised), and the partition's
+    later checks are skipped.
     """
     fails: dict[str, list] = {}
     dist: dict[tuple[int, int], int] = {}
@@ -312,7 +315,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
             if _phi_growth(qg, qsizes, True)[0][0] != g:
                 _fail(fails, row, text())
             if image is not None:
-                image.add(qg)
+                image.add(bytes(qg))
             row = "conjugate-involution"
             cq, cqsizes = _relabel(qg)  # the conjugate of p
             involution_ok = _relabel(_phi_growth(cq, cqsizes)[0][0])[0] == g
@@ -374,7 +377,7 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
         "nc": nc_count,
         "fails": fails,
         "dist": dist,
-        "image": image,
+        "image": None if image is None else sorted(image),
     }
 
 
@@ -702,11 +705,11 @@ def verify_suite(n_max: int = 10, comp_n_max: int = 16, jobs: int = 1) -> Verify
     fails: dict[str, list] = {}
     per_n: dict[int, dict] = {}
     for (n, _prefix), out in zip(shards, shard_outs):
-        agg = per_n.setdefault(n, {"count": 0, "nc": 0, "dist": Counter(), "image": set()})
+        agg = per_n.setdefault(n, {"count": 0, "nc": 0, "dist": Counter(), "images": []})
         agg["count"] += out["count"]
         agg["nc"] += out["nc"]
         agg["dist"].update(out["dist"])
-        agg["image"].update(out["image"] or ())
+        agg["images"].append(out["image"] or ())
         for inv, (cnt, ce) in out["fails"].items():
             _fail(fails, inv, ce, cnt)
 
@@ -717,10 +720,12 @@ def verify_suite(n_max: int = 10, comp_n_max: int = 16, jobs: int = 1) -> Verify
             _fail(
                 fails, "enum-catalan-count", f"n={n} count={agg['nc']} expected={catalan_number(n)}"
             )
-        if n <= IMAGE_CAP and len(agg["image"]) != agg["count"]:
-            _fail(
-                fails, "phi-injective-image", f"n={n} image={len(agg['image'])} of {agg['count']}"
-            )
+        if n <= IMAGE_CAP:
+            # Each shard's keys are sorted and distinct: merged, equal
+            # keys from different shards sit next to each other.
+            image = sum(1 for _ in groupby(heapq.merge(*agg["images"])))
+            if image != agg["count"]:
+                _fail(fails, "phi-injective-image", f"n={n} image={image} of {agg['count']}")
         dist = agg["dist"]
         asym = _asymmetric_pair(dist)
         if asym is not None:

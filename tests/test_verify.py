@@ -347,6 +347,17 @@ class TestArrayShard:
         assert (got["count"], got["nc"], got["dist"]) == (want["count"], want["nc"], want["dist"])
         assert got["image"] == want["image"] and len(got["image"]) == got["count"]
 
+    def test_image_is_sorted_byte_keys(self):
+        # A shard sends its phi images as distinct byte keys in increasing
+        # order, which the parent counts by merging; above IMAGE_CAP none.
+        image = verify_module.partition_shard(10, (0, 1, 0, 2))["image"]
+        assert all(type(key) is bytes and len(key) == 11 for key in image)
+        assert all(a < b for a, b in zip(image, image[1:]))
+        n = verify_module.IMAGE_CAP + 1
+        prefix = (0,) * (n - 1)  # two completions: 1..n, and 1..n-1 - n
+        out = verify_module.partition_shard(n, prefix)
+        assert out["image"] is None and out["count"] == 2 and out["fails"] == {}
+
     def test_no_block_is_built(self, monkeypatch):
         # Past the text round trip (n <= 8), the record-based rows and the
         # trace run on views too: the builder of blocks never runs.
@@ -565,6 +576,11 @@ def test_kernel_mutant_is_caught(monkeypatch, capsys, modules, name, old, new, c
         monkeypatch.setattr(module, name, mutant)
     report = verify_suite(n_max=5, comp_n_max=2)
     assert failing(report) == caught
+    if multiprocessing.get_start_method() == "fork":
+        # With jobs > 1, n = 5 runs as 15 prefix shards, so the images of
+        # different shards meet in the parent's merge.
+        multi = verify_suite(n_max=5, comp_n_max=2, jobs=3)
+        assert multi.to_records() == report.to_records()
     assert main(["verify", "--n-max", "5", "--comp-n-max", "2"]) == 3
     out, err = capsys.readouterr()
     assert out == report.render() + "\n"
