@@ -13,13 +13,15 @@ more.  Lex order changes only a tail of the string (Knuth, TAOCP 4A,
 it moves.  A partition builds its blocks only when they are read; which
 tuple a block gets is decided in partition alone.  The (singletons,
 adjacencies) distribution and the adjacency-free counts read one tally
-of (blocks, singletons, adjacencies) over the walk.
+of (blocks, singletons, adjacencies) over the walk, made once per n.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .partition import (
     EMPTY,
@@ -206,16 +208,20 @@ class DistributionTable(NamedTuple):
         return _asymmetric_pair(self.counts) is None
 
 
-def _tally(n: int) -> dict[tuple[int, int, int], int]:
+@lru_cache(maxsize=N_MAX_HARD + 1)
+def _tally(n: int) -> Mapping[tuple[int, int, int], int]:
     """Counts of (blocks, singletons, adjacencies) over the partitions of
-    {1..n}, each key first met in lex order of growth strings."""
+    {1..n}, each key first met in lex order of growth strings, read-only.
+    One walk serves every caller for the same n; the cache keeps the
+    tallies of N_MAX_HARD + 1 sizes, every n from 0 to N_MAX_HARD, each
+    fewer than n^3 keys."""
     counts: dict[tuple[int, int, int], int] = {}
     for p in iter_set_partitions(n):
         sizes = p._sizes
         ini, _, sing = _profile(p._view[2], sizes)
         key = (len(sizes), len(sing), len(ini))
         counts[key] = counts.get(key, 0) + 1
-    return counts
+    return MappingProxyType(counts)
 
 
 def distribution(n: int, pair: str) -> DistributionTable:

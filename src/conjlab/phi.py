@@ -30,12 +30,22 @@ imports nothing from there, so the CLI's one-partition maps never
 compile it; the two paths are compared exhaustively in the tests.
 
 A full scan per step makes a strip O(m x steps) on a support of size m,
-and nested inputs take about m/2 steps.  So once its scans would pass
-_SCAN_PASSES x m elements, a strip finishes on a worklist over a linked
-list of the live elements, and is O(m) on every input.  The last full
-scan hands the worklist the only candidates of the next step (the live
-predecessors of its kills, and the blocks it left with one live rank),
-so the worklist does work only for the ranks it kills.
+and nested inputs take about m/2 steps, nearly all of which kill one or
+two ranks.  So a strip moves to a worklist over a linked list of its
+live ranks, which checks only the ranks that may die next, once two
+steps in a row each kill fewer than 1/16 of their live ranks.  A step
+kills at most one rank per run of ranks that the step before it killed,
+so the second of those steps needs no scan: a scan that kills k ranks
+and leaves more than 16k hands off at once.  The cost model, measured on
+the deep family at m = 2000 (CPython 3.11, 2 vCPU Xeon): a scan visits a
+live rank in about 0.09 us, filtering included, and the worklist kills
+a rank in about 0.5 us, set-up included, six visits.  A scan that kills
+fewer than 1/6 of its ranks costs more than the worklist would; 1/16
+leaves room for a strip that ends soon after its hand-off, whose set-up
+and last pass cost about one more scan.  Strips of fewer than 32 live
+ranks keep scanning, so every strip of n <= 12 runs as it did before.
+The scans also stop once they would pass _SCAN_PASSES x m elements, and
+a strip is O(m) on every input.
 """
 
 from __future__ import annotations
@@ -45,7 +55,10 @@ from .partition import SetPartition, _core, _grow, _lazy, _relabel, require_full
 # Passes over the support a strip may scan before it moves to the
 # worklist: a worklist from the first step cost 35% more in phi over all
 # partitions of n <= 10, whose strips are a few short steps and with this
-# budget almost never reach it; a deep strip reaches it in a few steps.
+# budget almost never reach it.  It also sets the kill rate below which
+# a scan is slow, 1/(4 x _SCAN_PASSES), so that this one constant selects
+# the path: 0 sends every strip to the worklist before its first scan,
+# and 10**9 keeps every strip on full scans.
 _SCAN_PASSES = 4
 
 
@@ -63,12 +76,27 @@ def _strip(bid, sizes, invert: bool):
     step re-inserts it into that element's block.
     Returns (core, link): core the ranks never killed, in scan order, and
     link[r] the rank r is linked to (r itself if none).
-    Steps scan the whole live list until the next step would push the
-    scans past _SCAN_PASSES x m elements.  Then _worklist finishes from
-    the candidates of that step: the live predecessor of each run of
-    ranks the last scan killed (cyclically), and each block its initiator
-    kills left with one live rank, both in scan order.  O(m) in all.  A
-    budget spent before the first scan hands over every rank instead.
+
+    Steps scan the whole live list until _worklist is cheaper.  A step
+    kills at most one rank per run of ranks (cyclically) that the step
+    before it killed: the run's live predecessor may become an
+    initiator, or else the block of the run's initiators may be left
+    with one live rank, never both.  So after a scan of L >= 32 live
+    ranks that kills k of them, with 16k < L - k, that step and the next
+    both kill fewer than 1/16 of their live ranks, and the strip hands
+    its last scan's list to _worklist, whose kills cost about six scan
+    visits each.  It hands off as well once the scans after the first
+    would pass (_SCAN_PASSES - 1) x m elements, and before any scan when
+    that budget is negative.  The rate follows the budget: 16 is
+    4 x _SCAN_PASSES.
+    Reads of bid: a scan reads one per live rank, one more, and one per
+    initiator it kills, so the scans read at most (_SCAN_PASSES + 2) x m
+    + 1 times.  _worklist reads two per live candidate, one per kill and
+    one more per kill of its last step; its candidates are at most two
+    per rank that the last scan or the worklist itself killed, plus
+    every rank when it starts the strip.  That is at most 6m after a
+    hand-off and 8m from the start, so a strip reads bid at most
+    (_SCAN_PASSES + 8) x m + 1 times: O(m).
     """
     m = len(bid) - 1
     sizes = list(sizes)
@@ -77,7 +105,8 @@ def _strip(bid, sizes, invert: bool):
     live = list(range(m, 0, -1)) if invert else link[1:]
     budget = (_SCAN_PASSES - 1) * m  # what the scans after the first may spend
     if budget < 0:
-        return _worklist(live, [bid[x] for x in live], live, bid, sizes, link, dead), link
+        return _worklist(live, live, live[:], bid, sizes, link, dead), link
+    slow = 4 * _SCAN_PASSES
     while live:
         ends = []
         prev = live[-1]
@@ -102,68 +131,72 @@ def _strip(bid, sizes, invert: bool):
             # through all of them, and one fewer link joins them as well.
             link[live[0]] = live[0]
         budget -= len(rest)
-        if budget < 0:
-            cut = [bid[x] for x in rest if sizes[bid[x]] == 1]
-            starts = [x for x, y in zip(live, [*live[1:], live[0]]) if dead[y] and not dead[x]]
-            return _worklist(rest, cut, starts, bid, sizes, link, dead), link
+        if budget < 0 or (len(live) >= 32 and slow * (len(live) - len(rest)) < len(rest)):
+            return _worklist(live, rest, [], bid, sizes, link, dead), link
         live = rest
     return live, link
 
 
-def _worklist(live, cut, starts, bid, sizes, link, dead) -> list[int]:
-    """Finish a strip from its live ranks live, in scan order, updating
-    _strip's sizes, link and dead; return the core in scan order.
-    cut and starts are the candidates of the first step: the blocks that
-    may be left with a single live rank, and the ranks that may be
-    initiators, in scan order.
+def _worklist(live, rest, cands, bid, sizes, link, dead) -> list[int]:
+    """Finish a strip from live, the list its last scan visited, in scan
+    order: the ranks that scan killed are dead, and rest lists the
+    others.  Updates _strip's sizes, link and dead, and returns the core
+    in scan order.  The first step checks cands and the live neighbours
+    of each run of dead ranks in live.
     The live ranks form a cyclic doubly linked list, so a killed rank is
     unlinked in O(1).  Only the live predecessor of a removed rank can
     become an initiator, and only a block that loses an initiator can
-    become a singleton, whose rank is the sum of its live ranks.  So each
-    step collects the blocks it cuts and, while it unlinks its kills, the
-    next step's starts: a step costs O(its kills and the last step's),
-    O(len(live)) in all.
+    become a singleton, whose live rank then follows the last of those
+    initiators.  So a step checks only the live neighbours of the last
+    step's kills: it costs O(its kills and the last step's), O(len(live))
+    in all.
     """
     prv = [0] * len(link)
     nxt = prv[:]
-    sums = [0] * len(sizes)
-    for p, x in zip([live[-1], *live], live):
+    p = rest[-1]
+    gap = dead[live[-1]]  # a run that wraps around is offered at its end
+    for x in live:
+        if dead[x]:
+            gap = True
+            continue
+        if gap:
+            cands.append(p)
+            cands.append(x)
+            gap = False
         prv[x], nxt[p] = p, x
-        sums[bid[x]] += x
-    left = len(live)
-    while left > 0:
-        # Singletons read the block sizes of the step's start, so go first.
+        p = x
+    left = len(rest)
+    while cands:
+        # Kill by the sizes and the links of the step's start; the
+        # unlinking and the size updates come after.
         killed = []
-        for b in cut:
-            x = sums[b]
-            if sizes[b] == 1 and not dead[x]:
-                link[x] = prv[x]
-                dead[x] = True
-                killed.append(x)
-        lone = len(killed)
-        cut = []
-        # A predecessor can come once per rank of the run it precedes: dead
-        # keeps it from counting twice.
-        for x in starts:
-            b = bid[x]
-            if not dead[x] and bid[nxt[x]] == b:
-                sizes[b] -= 1
-                sums[b] -= x
-                dead[x] = True
-                killed.append(x)
-                cut.append(b)
-        if not killed:
-            break
-        if lone == left:
-            link[killed[0]] = killed[0]  # break the cycle, as in _strip
+        for x in cands:
+            if not dead[x]:
+                b = bid[x]
+                if sizes[b] == 1:
+                    link[x] = prv[x]
+                    dead[x] = True
+                    killed.append(x)
+                elif bid[nxt[x]] == b:
+                    dead[x] = True
+                    killed.append(x)
         left -= len(killed)
-        starts = []
+        if not left and all(sizes[bid[x]] == 1 for x in killed):
+            link[killed[0]] = killed[0]  # break the cycle, as in _strip
+        cands = []
         for x in killed:
             p, q = prv[x], nxt[x]
             nxt[p], prv[q] = q, p
             if not dead[p]:
-                starts.append(p)
-    return [x for x in live if not dead[x]]
+                cands.append(p)
+            b = bid[x]
+            # An initiator; a block that loses every rank at once is the
+            # whole live list, and its last kill reads as a singleton.
+            if sizes[b] > 1:
+                sizes[b] -= 1
+                if not dead[q]:
+                    cands.append(q)
+    return [x for x in rest if not dead[x]] if left else []
 
 
 def _root(link, x: int) -> int:

@@ -1,3 +1,4 @@
+import importlib
 from itertools import product
 import math
 import random
@@ -22,7 +23,9 @@ from conjlab import (
     parse_partition,
     random_partition,
 )
-from conjlab.enumeration import N_MAX_HARD, _asymmetric_pair, iter_rgs, rgs_prefixes
+from conjlab.enumeration import N_MAX_HARD, _asymmetric_pair, _tally, iter_rgs, rgs_prefixes
+
+enumeration_module = importlib.import_module("conjlab.enumeration")
 
 # Frozen reference values (partition and noncrossing-partition counts).
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
@@ -375,6 +378,26 @@ class TestTally:
     def test_adjacency_free_counts_follow_the_chromatic_polynomial(self, n):
         for k in range(1, n + 1):
             assert count_adjacency_free(n, k) == chromatic_count(n, k), (n, k)
+
+    def test_every_k_of_one_n_shares_one_walk(self, monkeypatch):
+        walks = []
+        walk = enumeration_module.iter_set_partitions
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(enumeration_module, "iter_set_partitions", counted)
+        _tally.cache_clear()
+        free = [count_adjacency_free(9, k) for k in range(1, 10)]
+        assert free == [chromatic_count(9, k) for k in range(1, 10)]
+        distribution(9, PAIR_SING_ADJ)
+        assert walks == [(9,)]
+
+    def test_the_shared_tally_is_read_only(self):
+        with pytest.raises(TypeError):
+            _tally(4)[4, 4, 0] = 0
+        assert count_adjacency_free(4, 4) == 1
 
 
 def test_partition_text_fixture():

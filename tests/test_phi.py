@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+import hashlib
 import importlib
 import random
 import signal
@@ -12,6 +13,7 @@ from conjlab import (
     adjacency_profile,
     complement,
     conjugate,
+    iter_set_partitions,
     kreweras_complement,
     parse_partition,
     phi,
@@ -228,6 +230,11 @@ class TestTraceRecords:
             phi_trace(P("1 3 - 2"))
 
 
+# sha256 of the sorted lines "n invert growth-string-hex" of the 76
+# strips of n <= 10 that reach the worklist at the default budget.
+SAME_76 = "889c5f66dab0dbc02f459b386586f68b7e68af232ee9613517759bdd3f4c2172"
+
+
 def rainbow(n: int, core=()) -> SetPartition:
     """The nested pairs {i, n+1-i} around the blocks of core, which sit in
     the middle of [n] and are given relative to it."""
@@ -313,6 +320,26 @@ class TestWorklist:
                 strips += 2
         assert (len(worklist_calls), strips) == (36, 52_884)
 
+    def test_default_budget_sends_the_same_76_strips_of_n_le_10_to_the_worklist(
+        self, worklist_calls
+    ):
+        # No strip of n <= 12 has 32 live ranks, so none hands off on its
+        # kill rate: the strips that reach the worklist are those that the
+        # budget alone sent there before the rate rule, named by digest.
+        reached = []
+        strips = 0
+        for n in range(1, 11):
+            for p in iter_set_partitions(n):
+                for invert, f in ((0, phi), (1, phi_inverse)):
+                    before = len(worklist_calls)
+                    f(p)
+                    strips += 1
+                    if len(worklist_calls) > before:
+                        reached.append(f"{n} {invert} {bytes(p._view[2][1:]).hex()}\n")
+        assert (len(reached), strips) == (76, 284_834)
+        digest = hashlib.sha256("".join(sorted(reached)).encode()).hexdigest()
+        assert digest == SAME_76
+
 
 def deep_nested(rng: random.Random, n: int, core=()) -> SetPartition:
     """A seeded partition of [n] nested about n/2.2 deep around the blocks
@@ -350,7 +377,9 @@ def deep_nested(rng: random.Random, n: int, core=()) -> SetPartition:
 DEEP_SIZES = (50, 77, 100, 101, 150, 200, 250, 300, 333, 400, 450, 500, 550, 600)
 
 # Strip budgets: every strip on the worklist from the start, after one or
-# two passes, the default, and full scans only.
+# two passes, the default, and full scans only.  The kill rate that hands a
+# strip off follows the budget: 1/4, 1/8 and 1/16 of the ranks a scan
+# leaves, and none at 10**9.
 BUDGETS = (0, 1, 2, 4, 10**9)
 
 
@@ -386,6 +415,114 @@ def check_deep_family(monkeypatch, family):
     assert all(inverse == inverses[0] for inverse in inverses)
 
 
+# Sizes about the 32 live ranks below which a strip never hands off on its
+# kill rate: at the default budget, a deep_nested strip's second scan has
+# 32 live ranks or more from about 40 elements.
+EDGE_SIZES = (31, 32, 33, 47, 48, 64)
+
+
+@pytest.fixture(scope="module")
+def edge_family():
+    """(p, phi_trace(p)) for a seeded deep_nested partition of each
+    EDGE_SIZES size, without and with a crossing core."""
+    rng = random.Random(3232)
+    cores = [(), [(1, 3), (2, 4)]]
+    family = [deep_nested(rng, n, core) for n in EDGE_SIZES for core in cores]
+    return [(p, phi_trace(p)) for p in family]
+
+
+def scanned_at_hand_off(trace, m: int, passes: int = 4):
+    """The live ranks of the phi strip's last full scan before it hands
+    off, by the rule of _strip, read off the step sizes of trace; None if
+    it ends on full scans."""
+    live = m
+    budget = (passes - 1) * m
+    for row in trace.forward_rows:
+        rest = live - len(row.initiators | row.singletons)
+        budget -= rest
+        if budget < 0 or (live >= 32 and 4 * passes * (live - rest) < rest):
+            return live
+        live = rest
+    return None
+
+
+def shallow(rng: random.Random, n: int) -> SetPartition:
+    """n elements of [4n] dealt into n/4 blocks at random: few singletons
+    or adjacencies, so a strip ends in a step or two."""
+    support = sorted(rng.sample(range(1, 4 * n + 1), n))
+    blocks: list[list[int]] = [[] for _ in range(n // 4)]
+    for x in support:
+        blocks[rng.randrange(len(blocks))].append(x)
+    return SetPartition(tuple(sorted(tuple(blk) for blk in blocks if blk)))
+
+
+def grown_noncrossing(rng: random.Random, n: int) -> SetPartition:
+    """A noncrossing partition of [n] grown left to right: each element
+    closes some open blocks, then joins the innermost open block or opens
+    a new one.  Its strips kill a large share per step."""
+    stack: list[list[int]] = []
+    blocks = []
+    for x in range(1, n + 1):
+        while stack and rng.random() < 0.3:
+            stack.pop()
+        if stack and rng.random() < 0.6:
+            stack[-1].append(x)
+        else:
+            blocks.append([x])
+            stack.append(blocks[-1])
+    return SetPartition(tuple(tuple(blk) for blk in blocks))
+
+
+def staggered_nests(scale: int) -> SetPartition:
+    """Rainbows side by side, round(scale x (16/17)^(2d)) of depth d for
+    each d.  A rainbow of depth d kills one rank per step for 2d steps, so
+    the kill count holds for two steps while the live count falls, and the
+    nests that end keep the kill rate near 1/16: the steps alternate
+    between more and fewer than 1/16 of their live ranks, and the budget,
+    not the rate, ends the scans."""
+    blocks = []
+    lo = 1
+    for d in range(1, 80):
+        for _ in range(round(scale * (16 / 17) ** (2 * d))):
+            blocks += [(lo + i, lo + 2 * d - 1 - i) for i in range(d)]
+            lo += 2 * d
+    return SetPartition(tuple(sorted(blocks)))
+
+
+class CountedReads(tuple):
+    """A growth string that counts the reads of its entries."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def read_bound_inputs():
+    rng = random.Random(2024)
+    for n in (40, 300, 2000):
+        yield pytest.param(deep_nested(rng, n), id=f"deep-{n}")
+        yield pytest.param(deep_nested(rng, n, [(1, 3), (2, 4)]), id=f"deep-core-{n}")
+        yield pytest.param(shallow(rng, n), id=f"shallow-{n}")
+        yield pytest.param(grown_noncrossing(rng, n), id=f"noncrossing-{n}")
+    yield pytest.param(staggered_nests(20), id="staggered")
+
+
+@pytest.mark.parametrize("p", read_bound_inputs())
+def test_strip_reads_the_growth_string_o_m_times(monkeypatch, p):
+    # _strip's docstring argues the bound; every finite budget keeps it.
+    _, _, bid = p._view
+    m = len(bid) - 1
+    q = phi(p)
+    for passes in BUDGETS[:-1]:
+        monkeypatch.setattr(phi_module, "_SCAN_PASSES", passes)
+        for g, sizes, invert in ((bid, p._sizes, False), (q._view[2], q._sizes, True)):
+            counted = CountedReads(g)
+            phi_module._strip(counted, sizes, invert)
+            assert counted.reads <= (passes + 8) * m + 1, (passes, invert)
+
+
 class Looped(Exception):
     """A strip ran past its time limit."""
 
@@ -413,39 +550,84 @@ class TestDeepFamily:
     def test_maps_agree_across_budgets_and_with_the_trace(self, monkeypatch, deep_family):
         check_deep_family(monkeypatch, deep_family)
 
+    def test_maps_agree_about_the_rate_rules_floor(self, monkeypatch, edge_family, worklist_calls):
+        # At the default budget the phi strips of 47 or more elements hand
+        # off on their rate, after their second scan; the smaller ones
+        # reach the worklist on the budget, with fewer than 32 live ranks.
+        for p, trace in edge_family:
+            worklist_calls.clear()
+            phi(p)
+            handed = [len(args[0]) for args in worklist_calls]
+            assert handed == [scanned_at_hand_off(trace, len(p.support))]
+            assert (handed[0] >= 32) == (len(p.support) >= 47)
+        check_deep_family(monkeypatch, edge_family)
+
     def test_default_budget_reaches_the_worklist(self, deep_family, worklist_calls):
         for p, _ in deep_family:
-            if len(p.support) >= 100:
+            m = len(p.support)
+            if m >= 100:
                 worklist_calls.clear()
                 phi(p)
                 phi_inverse(p)
                 assert len(worklist_calls) == 2
+                # Each strip hands over the list of its first or second
+                # full scan: all m ranks, or those its first step left.
+                prof = adjacency_profile(p)
+                first = [prof.initiators | prof.singletons, prof.terminators | prof.singletons]
+                for args, killed in zip(worklist_calls, first):
+                    assert len(args[0]) in (m, m - len(killed)), m
+
+    def test_the_budget_alone_selects_the_path(self, monkeypatch, deep_family, worklist_calls):
+        # Full scans only at 10**9, the kill rate included; the worklist
+        # from the first step, with every rank, at 0.
+        monkeypatch.setattr(phi_module, "_SCAN_PASSES", 10**9)
+        for p, _ in deep_family:
+            phi(p)
+            phi_inverse(p)
+        assert worklist_calls == []
+        monkeypatch.setattr(phi_module, "_SCAN_PASSES", 0)
+        for p, _ in deep_family:
+            phi(p)
+            phi_inverse(p)
+        handed = [len(args[0]) for args in worklist_calls]
+        assert handed == [len(p.support) for p, _ in deep_family for _ in "ab"]
+
+    def test_a_step_kills_at_most_one_rank_per_run_the_last_step_killed(self, deep_family):
+        # The bound that lets one slow scan stand for two, on the traces.
+        traces = [phi_trace(p) for n in range(1, 9) for p in all_partitions(n)]
+        for trace in traces + [trace for _, trace in deep_family]:
+            rows = trace.forward_rows
+            for before, row in zip(rows, rows[1:]):
+                dead = before.initiators | before.singletons
+                order = sorted(dead.union(before.rho.support))
+                runs = sum(y in dead and x not in dead for x, y in zip(order[-1:] + order, order))
+                assert len(row.initiators | row.singletons) <= runs
 
     @pytest.mark.parametrize(
         "name, old, new",
         [
             pytest.param(
                 "_worklist",
-                "                sums[b] -= x\n                dead[x] = True\n",
-                "                sums[b] -= x\n",
+                "                elif bid[nxt[x]] == b:\n                    dead[x] = True\n",
+                "                elif bid[nxt[x]] == b:\n",
                 id="taken-predecessor-not-marked-dead",
             ),
             pytest.param(
                 "_worklist",
-                "starts.append(p)",
-                "starts.append(q)",
+                "            if not dead[p]:\n                cands.append(p)\n",
+                "            if not dead[p]:\n                cands.append(q)\n",
                 id="predecessor-left-out-of-starts",
             ),
             pytest.param(
                 "_worklist",
-                "                cut.append(b)\n",
+                "                if not dead[q]:\n                    cands.append(q)\n",
                 "",
                 id="lone-block-not-offered-as-singleton",
             ),
             pytest.param(
-                "_strip",
-                "zip(live, [*live[1:], live[0]])",
-                "zip(live, live[1:])",
+                "_worklist",
+                "gap = dead[live[-1]]",
+                "gap = False",
                 id="wrapped-run-predecessor-not-handed-over",
             ),
         ],
@@ -458,8 +640,8 @@ class TestDeepFamily:
     def test_all_ranks_start_is_a_passing_control(self, monkeypatch, deep_family):
         # Handing the worklist every live rank, as a budget spent before
         # any scan does, is slower but right.
-        old = "_worklist(rest, cut, starts,"
-        new = "_worklist(rest, [bid[x] for x in rest], rest,"
+        old = "_worklist(live, rest, [],"
+        new = "_worklist(rest, rest, rest[:],"
         monkeypatch.setattr(phi_module, "_strip", source_mutant(phi_module, "_strip", old, new))
         with ends_within(30):
             check_deep_family(monkeypatch, deep_family)
