@@ -26,14 +26,20 @@ ranks 1..2n; the crossing scan reads it once, and once per pair of gap
 blocks merged.  complement-involution also checks the relabel kernel
 against its definition, written out without it.  The trace of p is its
 first strip step and the trace of the remainder, which many partitions
-share, so each distinct remainder is traced once per shard.  A check
-that raises inside a shard, a composition sweep or the fixed checks
-fails its row, and its counterexample names the exception type.
+share, so each distinct remainder is traced once per shard.
 
-Each family (partitions, compositions) has one invariant table listing
-(id, scope, largest n) rows in report order; the scope string and the
-examined-item count of every row derive from it.  Adding an invariant
-takes one table row plus its check (a _fail call in the sweep).
+Each family (partitions, compositions, fixed cases) has one invariant
+table of (id, scope, largest n or cases, check) rows in report order;
+the scope string and the examined-item count of every row derive from
+it.  A check is a function of one context: a partition or a composition
+(the item rows), the totals of one n (the per-n rows), or a fixed case.
+It returns None on a pass, else the suffix of its counterexample, and
+its docstring states the claim.  _run runs the checks of one context in
+table order: a check that raises fails its own row, naming the
+exception type, and skips the context's later checks.  The item contexts
+are __slots__ objects that the checks fill as they go, so a check reads
+what an earlier one computed.  Adding an invariant takes one table row
+and its check function.
 """
 
 from __future__ import annotations
@@ -189,19 +195,54 @@ def _raised(exc: Exception) -> str:
     return f" raised {type(exc).__name__}"
 
 
-def _outcome(check) -> str | None:
-    """None when check() is true; else what a counterexample adds: "" if
-    check() is false, what it raised if it raised."""
-    try:
-        return None if check() else ""
-    except Exception as exc:
-        return _raised(exc)
+def _run(checks, x, fails: dict, text) -> bool:
+    """Run checks, (id, check) pairs, in order on the context x.
+
+    A check returns None on a pass, else what the counterexample text(x)
+    lacks (a fixed case may have no text, so the join is stripped).  A
+    check that raises fails its own id, naming the exception type, and
+    skips the later checks: False then.
+    """
+    for inv, check in checks:
+        try:
+            why = check(x)
+        except Exception as exc:
+            _fail(fails, inv, (text(x) + _raised(exc)).lstrip())
+            return False
+        if why is not None:
+            _fail(fails, inv, (text(x) + why).lstrip() or None)
+    return True
+
+
+def _checks(table, n: int, at: str) -> list:
+    """(id, check) for each row of table whose scope reads at ("item", "nc"
+    or "n") and whose scope and cap cover n, in table order."""
+    return [
+        (inv, check) for inv, (*_, least, lv), cap, check in table if lv == at and least <= n <= cap
+    ]
 
 
 def _text(g, sizes) -> str:
     """A growth string with its block sizes in dash notation, for
     counterexample text."""
     return format_partition(_lazy(g, sizes))
+
+
+def _item_text(x) -> str:
+    return f"n={x.n} p={format_partition(x.p)}"
+
+
+def _comp_text(x) -> str:
+    return f"n={x.n} c={format_composition(x.c)}"
+
+
+def _n_text(totals) -> str:
+    return f"n={totals['n']}"
+
+
+def _case_text(case) -> str:
+    """A fixed case's fields, its partition p in dash notation."""
+    return " ".join(f"{k}={format_partition(v) if k == 'p' else v}" for k, v in case.items())
 
 
 def _with_step(tail: tuple, step: tuple, back, tau, source=None) -> tuple:
@@ -233,152 +274,180 @@ def _trace_tail(rho: SetPartition) -> tuple:
     return verdict
 
 
-def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
-    """Run every per-partition invariant over one RGS-prefix shard of [n].
+class _Item:
+    """What the checks of one partition p of [n] read, filled eagerly.
 
-    Returns a plain dict (picklable) with counts, failures keyed by
-    invariant id, the phi images as a sorted list of distinct byte keys
-    (bytes of the growth string; None above IMAGE_CAP), and the
-    singleton/adjacency distribution tally.  A check that raises fails
-    its row (the one named in row when it raised), and the partition's
-    later checks are skipped.
+    The shard sets n, the trace-tail cache and the phi image set (None
+    above IMAGE_CAP) once.  Per partition it sets p, its growth string g
+    and block sizes, its profile (initiators, terminators, singletons) and
+    whether it is noncrossing (nc).  Each check sets what a later one
+    reads, a partition as a (growth string, block sizes) pair: comp, the
+    complement; step, the separate_is record, with back and back_st, the
+    combines of both records; phi and the core of its strip; verdict, the
+    trace verdict of _with_step; conj, the conjugate, involutive and swaps,
+    its two laws; gaps, the Kreweras complement of a noncrossing p.
     """
-    fails: dict[str, list] = {}
-    dist: dict[tuple[int, int], int] = {}
-    image: set | None = set() if n <= IMAGE_CAP else None
-    count = 0
-    nc_count = 0
-    trace_on = n <= TRACE_CAP
-    parse_on = n <= PARSE_CAP
-    union_on = n <= UNION_CAP
-    tails: dict[tuple, tuple] = {}  # remainder (support, view) -> its trace verdict
-    m = n + 1
 
-    def text() -> str:  # the counterexample: built only on failure
-        return f"n={n} p={format_partition(p)}"
+    __slots__ = ("n", "tails", "image", "p", "g", "sizes", "profile", "nc", "comp", "step",
+                 "back", "back_st", "phi", "core", "verdict", "conj", "involutive", "swaps", "gaps")
 
-    for p in iter_set_partitions(n, prefix):
-        count += 1
-        row = "balance"
-        try:
-            g = p._view[2]  # the growth string of p
-            sizes = p._sizes
-            ini, ter, sing = _profile(g, sizes)
-            nsing, nadj = len(sing), len(ini)
-            dist[nsing, nadj] = dist.get((nsing, nadj), 0) + 1
-            if nadj != len(ter):
-                _fail(fails, row, text())
-            row = "nc-core-characterization"
-            nc = _scan(g, sizes) is None
-            nc_count += nc
-            row = "parse-format-roundtrip"
-            if parse_on and parse_partition(str(p)) != p:
-                _fail(fails, row, text())
-            row = "complement-involution"
-            cg, csizes = _relabel(g)  # the complement of p
-            # The relabel by its definition, without the kernel: g reversed,
-            # blocks renumbered by first occurrence.
-            rev = g[:0:-1]
-            first = {b: i for i, b in enumerate(dict.fromkeys(rev))}
-            if _relabel(cg)[0] != g or cg != (0, *map(first.__getitem__, rev)):
-                _fail(fails, row, text())
-            row = "complement-role-swap"
-            cini, cter, csing = _profile(cg, csizes)
-            if (
-                cini != [m - t for t in reversed(ter)]
-                or cter != [m - i for i in reversed(ini)]
-                or csing != [m - s for s in reversed(sing)]
-            ):
-                _fail(fails, row, text())
-            row = "separate-records-in-domain"
-            step = _separate(p, False, (ini, ter, sing))  # (rho, I, S)
-            back = _combine(*step, True)
-            rec_st = _separate(p, True, (ini, ter, sing))
-            if back is None or (back_st := _combine(*rec_st, False)) is None:
-                _fail(fails, row, text())
-            else:
-                row = "separate-combine-roundtrip"
-                if back != p or back_st != p:
-                    _fail(fails, row, text())
-            row = "combine-domain-role-symmetry"
-            if (_combine(*step, False) is None) != (back is None):
-                _fail(fails, row, text())
-            row = "phi-support-preserved"
-            (qg, qsizes), core = _phi_growth(g, sizes)
-            if len(qg) != m:
-                _fail(fails, row, text())
-            row = "phi-statistic-interchange"
-            _, qter, qsing = _profile(qg, qsizes)
-            if not (qsing == ini and qter == sing):
-                _fail(fails, row, f"{text()} phi(p)={_text(qg, qsizes)}")
-            row = "phi-inverse-identity"
-            if _phi_growth(qg, qsizes, True)[0][0] != g:
-                _fail(fails, row, text())
-            if image is not None:
-                image.add(bytes(qg))
-            row = "conjugate-involution"
-            cq, cqsizes = _relabel(qg)  # the conjugate of p
-            involution_ok = _relabel(_phi_growth(cq, cqsizes)[0][0])[0] == g
-            if not involution_ok:
-                _fail(fails, row, f"{text()} conj(p)={_text(cq, cqsizes)}")
-            row = "conjugate-interchange"
-            cqini, _, cqsing = _profile(cq, cqsizes)
-            conj_interchange_ok = len(cqsing) == nadj and len(cqini) == nsing
-            if not conj_interchange_ok:
-                _fail(fails, row, text())
-            if trace_on:
-                # The trace of p takes the step, then traces the remainder.
-                row = "phi-trace-agreement"
-                verdict = (p, 0, 0)  # no step: no rows
-                rho, a, b = step
-                if a or b:
-                    key = rho.support, rho._view[2]
-                    tail = tails.get(key)
-                    if tail is None:
-                        tail = tails[key] = _trace_tail(rho)
-                    verdict = _with_step(tail, step, back, _reinsert(tail[0], a, b), p)
-                tau, inverse, exact = verdict
-                if tau != _lazy(qg, qsizes):
-                    _fail(fails, row, text())
-                if inverse:
-                    _fail(fails, "trace-record-inverse", f"{text()} j={inverse}")
-                if exact:
-                    _fail(fails, "reverse-phase-exactness", f"{text()} j={exact}")
-            row = "nc-core-characterization"
-            if nc == bool(core):
-                _fail(fails, row, f"{text()} core={format_partition(_core(core, g))}")
-            if not nc:
-                continue
-            row = "nc-closure"
-            if not (_scan(qg, qsizes) is None and _scan(cq, cqsizes) is None):
-                _fail(fails, row, text())
-            row = "nc-graphical-phi"
-            kg, ksizes = _kreweras(g, sizes)  # the gaps of p
-            if kg != qg:
-                _fail(fails, row, f"{text()} gaps={_text(kg, ksizes)}")
-            row = "nc-graphical-conjugate"
-            if _relabel(kg)[0] != cq:
-                _fail(fails, row, text())
-            row = "nc-conjugation-involution"
-            if not (involution_ok and conj_interchange_ok):
-                _fail(fails, row, text())
-            row = "kreweras-double-rotation"
-            if _kreweras(kg, ksizes) != _rotate(g, -1):
-                _fail(fails, row, text())
-            row = "kreweras-union-maximal"
-            if union_on:
-                ok, why = _union_maximal(g, sizes, kg, ksizes)
-                if not ok:
-                    _fail(fails, row, f"{text()} {why}")
-        except Exception as exc:
-            _fail(fails, row, text() + _raised(exc))
-    return {
-        "count": count,
-        "nc": nc_count,
-        "fails": fails,
-        "dist": dist,
-        "image": None if image is None else sorted(image),
-    }
+
+def _balance(x) -> str | None:
+    """Every partition has as many adjacency initiators as terminators (§1)."""
+    return "" if len(x.profile[0]) != len(x.profile[1]) else None
+
+
+def _parse_format_roundtrip(x) -> str | None:
+    """Parsing the dash notation of p gives p back."""
+    return "" if parse_partition(str(x.p)) != x.p else None
+
+
+def _complement_involution(x) -> str | None:
+    """The complement x -> n + 1 - x is an involution, and the relabel kernel meets its definition.
+
+    The definition, written without the relabel kernel: the growth string
+    read backwards, blocks renumbered by first occurrence.
+    """
+    g = x.g
+    x.comp = cg, _ = _relabel(g)
+    rev = g[:0:-1]
+    first = {b: i for i, b in enumerate(dict.fromkeys(rev))}
+    return "" if _relabel(cg)[0] != g or cg != (0, *map(first.__getitem__, rev)) else None
+
+
+def _complement_role_swap(x) -> str | None:
+    """The complement swaps initiators with terminators and keeps singletons."""
+    m = x.n + 1
+    ini, ter, sing = x.profile
+    want = [m - t for t in ter[::-1]], [m - i for i in ini[::-1]], [m - s for s in sing[::-1]]
+    return "" if _profile(*x.comp) != want else None
+
+
+def _separate_records_in_domain(x) -> str | None:
+    """separate_is and separate_st give records in their combines' domains (§1)."""
+    p = x.p
+    x.step = step = _separate(p, False, x.profile)  # (rho, I, S)
+    x.back = back = _combine(*step, True)
+    rec_st = _separate(p, True, x.profile)
+    x.back_st = back_st = None if back is None else _combine(*rec_st, False)
+    return "" if back_st is None else None
+
+
+def _separate_combine_roundtrip(x) -> str | None:
+    """combine_is undoes separate_is, and combine_st undoes separate_st (§1).
+
+    Vacuous off the combine domain, which the row before fails.
+    """
+    return "" if x.back_st is not None and (x.back != x.p or x.back_st != x.p) else None
+
+
+def _combine_domain_role_symmetry(x) -> str | None:
+    """The separate_is record is in combine_st's domain exactly when in combine_is's."""
+    return "" if (_combine(*x.step, False) is None) != (x.back is None) else None
+
+
+def _phi_support_preserved(x) -> str | None:
+    """phi(p) is a partition of the support of p (§1).
+
+    Also files the growth string of phi(p) in the shard's image set.
+    """
+    x.phi, x.core = _phi_growth(x.g, x.sizes)
+    qg = x.phi[0]
+    if x.image is not None:
+        x.image.add(bytes(qg))
+    return "" if len(qg) != x.n + 1 else None
+
+
+def _phi_statistic_interchange(x) -> str | None:
+    """phi(p)'s singletons are p's initiators, and its terminators p's singletons (§1)."""
+    ini, _, sing = x.profile
+    _, qter, qsing = _profile(*x.phi)
+    return None if qsing == ini and qter == sing else f" phi(p)={_text(*x.phi)}"
+
+
+def _phi_inverse_identity(x) -> str | None:
+    """phi_inverse(phi(p)) = p (§1)."""
+    return "" if _phi_growth(*x.phi, True)[0][0] != x.g else None
+
+
+def _phi_trace_agreement(x) -> str | None:
+    """The record-based trace, separate_is down to the core and combine_st back, ends at phi(p).
+
+    The trace of p takes its first step, then traces the remainder, whose
+    verdict the shard computes once.
+    """
+    rho, a, b = step = x.step
+    if a or b:
+        key = rho.support, rho._view[2]
+        tail = x.tails.get(key)
+        if tail is None:
+            tail = x.tails[key] = _trace_tail(rho)
+        x.verdict = _with_step(tail, step, x.back, _reinsert(tail[0], a, b), x.p)
+    else:
+        x.verdict = (x.p, 0, 0)  # no step: no rows
+    return "" if x.verdict[0] != _lazy(*x.phi) else None
+
+
+def _reverse_phase_exactness(x) -> str | None:
+    """Each trace step back, combine_st, separates by separate_st into that step's record."""
+    return f" j={x.verdict[2]}" if x.verdict[2] else None
+
+
+def _trace_record_inverse(x) -> str | None:
+    """Each forward record of the trace combines by combine_is and separates back into itself."""
+    return f" j={x.verdict[1]}" if x.verdict[1] else None
+
+
+def _conjugate_involution(x) -> str | None:
+    """conjugate, phi then the complement, is an involution on the partitions of [n] (§1)."""
+    x.conj = cq, cqsizes = _relabel(x.phi[0])
+    x.involutive = _relabel(_phi_growth(cq, cqsizes)[0][0])[0] == x.g
+    return None if x.involutive else f" conj(p)={_text(cq, cqsizes)}"
+
+
+def _conjugate_interchange(x) -> str | None:
+    """conjugate interchanges the number of singletons with the number of adjacencies (§1)."""
+    ini, _, sing = x.profile
+    cqini, _, cqsing = _profile(*x.conj)
+    x.swaps = len(cqsing) == len(ini) and len(cqini) == len(sing)
+    return None if x.swaps else ""
+
+
+def _nc_core_characterization(x) -> str | None:
+    """p is noncrossing exactly when the strip of phi leaves no core."""
+    return f" core={format_partition(_core(x.core, x.g))}" if x.nc == bool(x.core) else None
+
+
+def _nc_closure(x) -> str | None:
+    """phi and conjugate map noncrossing partitions to noncrossing partitions."""
+    return None if _scan(*x.phi) is None and _scan(*x.conj) is None else ""
+
+
+def _nc_graphical_phi(x) -> str | None:
+    """On a noncrossing partition, phi is the Kreweras complement."""
+    x.gaps = kg, ksizes = _kreweras(x.g, x.sizes)
+    return f" gaps={_text(kg, ksizes)}" if kg != x.phi[0] else None
+
+
+def _nc_graphical_conjugate(x) -> str | None:
+    """On a noncrossing partition, conjugate is the complement of the Kreweras complement."""
+    return "" if _relabel(x.gaps[0])[0] != x.conj[0] else None
+
+
+def _nc_conjugation_involution(x) -> str | None:
+    """On noncrossing partitions, conjugate is an involution swapping singletons and adjacencies."""
+    return None if x.involutive and x.swaps else ""
+
+
+def _kreweras_double_rotation(x) -> str | None:
+    """The Kreweras complement taken twice rotates the labels back by one."""
+    return "" if _kreweras(*x.gaps) != _rotate(x.g, -1) else None
+
+
+def _kreweras_union_maximal(x) -> str | None:
+    """p and its Kreweras complement interleave noncrossing, and no two gap blocks can merge."""
+    ok, why = _union_maximal(x.g, x.sizes, *x.gaps)
+    return None if ok else f" {why}"
 
 
 def _union_maximal(g, sizes, kg, ksizes) -> tuple[bool, str]:
@@ -406,244 +475,346 @@ def _union_maximal(g, sizes, kg, ksizes) -> tuple[bool, str]:
     return True, ""
 
 
+def _phi_injective_image(t) -> str | None:
+    """phi is injective: the partitions of [n] have B(n) distinct images (§1).
+
+    Each shard's keys are sorted and distinct: merged, equal keys from
+    different shards sit next to each other.
+    """
+    image = sum(1 for _ in groupby(heapq.merge(*t["images"])))
+    return f" image={image} of {t['count']}" if image != t["count"] else None
+
+
+def _sing_adj_distribution_symmetric(t) -> str | None:
+    """Singletons and adjacencies are symmetrically distributed over the partitions of [n] (§1)."""
+    dist = t["dist"]
+    asym = _asymmetric_pair(dist)
+    return None if asym is None else f" pair {asym}: {dist[asym]} vs {dist[asym[1], asym[0]]}"
+
+
+def _enum_bell_count(t) -> str | None:
+    """The enumeration gives the Bell number B(n) of partitions of [n]."""
+    want = bell_number(t["n"])
+    return f" count={t['count']} expected={want}" if t["count"] != want else None
+
+
+def _enum_catalan_count(t) -> str | None:
+    """Exactly C(n), the Catalan number, of the partitions of [n] are noncrossing."""
+    want = catalan_number(t["n"])
+    return f" count={t['nc']} expected={want}" if t["nc"] != want else None
+
+
+def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
+    """Run every per-partition invariant over one RGS-prefix shard of [n].
+
+    Returns a plain dict (picklable) with counts, failures keyed by
+    invariant id, the phi images as a sorted list of distinct byte keys
+    (bytes of the growth string; None above IMAGE_CAP), and the
+    singleton/adjacency distribution tally.  The profile and the crossing
+    scan that the tallies read come before any check, and a raise there
+    fails the first row; the noncrossing rows run on noncrossing
+    partitions alone.
+    """
+    fails: dict[str, list] = {}
+    dist: dict[tuple[int, int], int] = {}
+    count = nc_count = 0
+    checks = _checks(_PARTITION_TABLE, n, "item")
+    nc_checks = _checks(_PARTITION_TABLE, n, "nc")
+    image = set() if n <= IMAGE_CAP else None
+    x = _Item()
+    x.n, x.tails, x.image = n, {}, image  # tails: remainder (support, view) -> its verdict
+    for p in iter_set_partitions(n, prefix):
+        count += 1
+        x.p = p
+        g = x.g = p._view[2]  # the growth string of p
+        sizes = x.sizes = p._sizes
+        try:
+            ini, _, sing = x.profile = _profile(g, sizes)
+            x.nc = nc = _scan(g, sizes) is None
+        except Exception as exc:
+            _fail(fails, checks[0][0], _item_text(x) + _raised(exc))
+            continue
+        key = len(sing), len(ini)
+        dist[key] = dist.get(key, 0) + 1
+        nc_count += nc
+        if _run(checks, x, fails, _item_text) and nc:
+            _run(nc_checks, x, fails, _item_text)
+    image = None if image is None else sorted(image)
+    return {"count": count, "nc": nc_count, "fails": fails, "dist": dist, "image": image}
+
+
+class _Comp:
+    """What the checks of one composition c of n read, filled eagerly: the
+    sweep sets n once, and c with its mu and nu per composition; each
+    check sets what a later one reads."""
+
+    __slots__ = ("n", "c", "mu", "nu", "cc", "path")
+
+
+def _comp_conjugate_involution(x) -> str | None:
+    """Conjugation of compositions is an involution."""
+    x.cc = cc = conjugate_composition(x.c)
+    return "" if conjugate_composition(cc) != x.c else None
+
+
+def _comp_length_law(x) -> str | None:
+    """A composition of n and its conjugate have n + 1 parts between them."""
+    return "" if len(x.c.parts) + len(x.cc.parts) != x.n + 1 else None
+
+
+def _comp_strip_agreement(x) -> str | None:
+    """The strip-transfer conjugate equals the lattice-path flip."""
+    strip = strip_conjugate(x.c)
+    if strip != x.cc:
+        return f" strip={format_composition(strip)} flip={format_composition(x.cc)}"
+    return None
+
+
+def _comp_mu_nu_interchange(x) -> str | None:
+    """Conjugation interchanges mu and nu, for n >= 2."""
+    return "" if mu(x.cc) != x.nu or nu(x.cc) != x.mu else None
+
+
+def _comp_path_agreement(x) -> str | None:
+    """mu and nu read off the lattice path equal mu and nu of the parts."""
+    x.path = path = to_path(x.c)
+    return "" if mu_path(path) != x.mu or nu_path(path) != x.nu else None
+
+
+def _comp_path_flip_duality(x) -> str | None:
+    """mu of the flipped lattice path is nu of the path."""
+    return "" if mu_path(flip_path(x.path)) != nu_path(x.path) else None
+
+
+def _comp_sorted_palindrome(t) -> str | None:
+    """Sorted by sort_rank, the compositions of n are their conjugates in reverse order."""
+    ordered = sorted(t["comps"], key=sort_rank)
+    for i, c in enumerate(ordered):
+        if conjugate_composition(c) != ordered[len(ordered) - 1 - i]:
+            return f" position={i} c={format_composition(c)}"
+    return None
+
+
+def _comp_subset_lex_order(t) -> str | None:
+    """Among compositions of one length, lex order on parts is order on partial-sum sets."""
+    by_len: dict[int, list[Composition]] = {}
+    for c in t["comps"]:
+        by_len.setdefault(len(c.parts), []).append(c)
+    for length, group in sorted(by_len.items()):
+        in_lex = sorted(group, key=lambda c: c.parts)
+        subsets = sorted(tuple(sorted(to_subset(c))) for c in group)
+        for c, subset in zip(in_lex, subsets):
+            if tuple(sorted(to_subset(c))) != subset:
+                return f" length={length} c={format_composition(c)}"
+    return None
+
+
+def _mu_nu_distribution_symmetric(t) -> str | None:
+    """(mu, nu) has a symmetric joint distribution over the compositions of n >= 2."""
+    return "" if _asymmetric_pair(t["dist"]) is not None else None
+
+
+def _enum_composition_count(t) -> str | None:
+    """The enumeration gives the 2^(n-1) compositions of n."""
+    return f" count={t['count']}" if t["count"] != 2 ** (t["n"] - 1) else None
+
+
 def composition_sweep(n: int) -> dict:
     """All composition invariants for one n (fast; never sharded).
 
-    As in partition_shard, a check that raises fails its row (the one
-    named in row when it raised): in the loop the composition's later
-    checks are skipped, and in the tail the later tail checks.
+    As in partition_shard, the (mu, nu) tally is taken before any check,
+    and a raise there fails the first row.  The per-n rows then run on the
+    sweep's totals.
     """
     fails: dict[str, list] = {}
     dist: dict[tuple[int, int], int] = {}
     count = 0
     comps = []
     keep = n <= max(PALINDROME_CAP, SUBSET_LEX_CAP)
-
-    def text() -> str:  # the counterexample: built only on failure
-        return f"n={n} c={format_composition(c)}"
-
+    checks = _checks(_COMPOSITION_TABLE, n, "item")
+    x = _Comp()
+    x.n = n
     for c in iter_compositions(n):
         count += 1
         if keep:
             comps.append(c)
-        row = "comp-conjugate-involution"
+        x.c = c
         try:
-            cc = conjugate_composition(c)
-            if conjugate_composition(cc) != c:
-                _fail(fails, row, text())
-            row = "comp-length-law"
-            if len(c.parts) + len(cc.parts) != n + 1:
-                _fail(fails, row, text())
-            row = "comp-strip-agreement"
-            if strip_conjugate(c) != cc:
-                _fail(
-                    fails,
-                    row,
-                    f"{text()} strip={format_composition(strip_conjugate(c))} "
-                    f"flip={format_composition(cc)}",
-                )
-            row = "comp-mu-nu-interchange"
-            mu_c, nu_c = mu(c), nu(c)
-            dist[mu_c, nu_c] = dist.get((mu_c, nu_c), 0) + 1
-            if n >= 2:
-                if mu(cc) != nu_c or nu(cc) != mu_c:
-                    _fail(fails, row, text())
-                row = "comp-path-agreement"
-                path = to_path(c)
-                if mu_path(path) != mu_c or nu_path(path) != nu_c:
-                    _fail(fails, row, text())
-                row = "comp-path-flip-duality"
-                if mu_path(flip_path(path)) != nu_path(path):
-                    _fail(fails, row, text())
+            key = x.mu, x.nu = mu(c), nu(c)
         except Exception as exc:
-            _fail(fails, row, text() + _raised(exc))
-    row = "enum-composition-count"
-    try:
-        if count != 2 ** (n - 1):
-            _fail(fails, row, f"n={n} count={count}")
-        row = "mu-nu-distribution-symmetric"
-        if n >= 2 and _asymmetric_pair(dist) is not None:
-            _fail(fails, row, f"n={n}")
-        row = "comp-sorted-palindrome"
-        if n <= PALINDROME_CAP:
-            ordered = sorted(comps, key=sort_rank)
-            for i, c in enumerate(ordered):
-                if conjugate_composition(c) != ordered[len(ordered) - 1 - i]:
-                    _fail(fails, row, f"n={n} position={i} c={format_composition(c)}")
-                    break
-        row = "comp-subset-lex-order"
-        if n <= SUBSET_LEX_CAP:
-            by_len: dict[int, list[Composition]] = {}
-            for c in comps:
-                by_len.setdefault(len(c.parts), []).append(c)
-            for length, group in sorted(by_len.items()):
-                in_lex = sorted(group, key=lambda c: c.parts)
-                subsets = sorted(tuple(sorted(to_subset(c))) for c in group)
-                for c, subset in zip(in_lex, subsets):
-                    if tuple(sorted(to_subset(c))) != subset:
-                        _fail(fails, row, f"n={n} length={length} c={format_composition(c)}")
-                        break
-    except Exception as exc:
-        _fail(fails, row, f"n={n}" + _raised(exc))
+            _fail(fails, checks[0][0], _comp_text(x) + _raised(exc))
+            continue
+        dist[key] = dist.get(key, 0) + 1
+        _run(checks, x, fails, _comp_text)
+    totals = {"n": n, "count": count, "dist": dist, "comps": comps}
+    _run(_checks(_COMPOSITION_TABLE, n, "n"), totals, fails, _n_text)
     return {"count": count, "fails": fails, "dist": dist}
 
 
+def _subset_support_roundtrip(case) -> str | None:
+    """separate/combine and phi round-trip every partition of a sparse support, keeping it."""
+    p = case["p"]
+    ok = combine_is(separate_is(p)) == p and combine_st(separate_st(p)) == p
+    return None if ok and phi_inverse(q := phi(p)) == p and q.support == p.support else ""
+
+
+def _sparse_random_spot(case) -> str | None:
+    """Balance, phi's interchange, its support and its inverse hold on random sparse supports."""
+    p = case["p"]
+    ok = len((prof := adjacency_profile(p)).initiators) == len(prof.terminators)
+    ok = ok and (qprof := adjacency_profile(q := phi(p))).singletons == prof.initiators
+    ok = ok and qprof.terminators == prof.singletons and q.support == p.support
+    return None if ok and phi_inverse(q) == p else ""
+
+
+def _one_element_convention(case) -> str | None:
+    """A lone element is initiator, terminator and singleton, with one adjacency.
+
+    The combine domain takes an element as both only while it is the
+    whole universe.
+    """
+    a = case["a"]
+    p = SetPartition(((a,),))
+    one = frozenset({a})
+    prof = adjacency_profile(p)
+    ok = prof.initiators == prof.terminators == prof.singletons == one
+    ok = ok and prof.adjacency_count == 1 and phi(p) == p
+    beside = SetPartition(((a + 1,),))
+    ok = ok and not combine_domain_ok(SeparationRecord(beside, one, one, ROLE_IS))
+    return None if ok and (a != 1 or conjugate(p, 1) == p) else ""
+
+
+def _mu_nu_n1_exception(case) -> str | None:
+    """The composition 1 has (mu, nu) = (0, 1), and conjugation fixes it rather than swapping."""
+    c1 = Composition((1,))
+    cc = conjugate_composition(c1)
+    stats = (mu(c1), nu(c1)), (mu(cc), nu(cc))
+    if stats == ((0, 1), (0, 1)) and cc == c1:
+        if (mu_path(path := to_path(c1)), nu_path(path)) == (0, 0):
+            return None
+    return " stats={} conj_stats={}".format(*stats)
+
+
+def _empty_partition_fixed_point(case) -> str | None:
+    """The empty partition is a fixed point of every map that accepts it."""
+    ok = all(f(EMPTY) == EMPTY for f in (phi, phi_inverse, reduce_core, kreweras_complement))
+    ok = ok and not (prof := adjacency_profile(EMPTY)).initiators and not prof.singletons
+    ok = ok and prof.adjacency_count == 0 and str(EMPTY) == ""
+    return None if ok and parse_partition("") == EMPTY else ""
+
+
+def _small_supports():
+    """Every partition of every support within [8] of at most 6 elements."""
+    for supp in chain.from_iterable(combinations(range(1, 9), k) for k in range(7)):
+        for p in iter_set_partitions_of(supp):
+            yield {"support": supp, "p": p}
+
+
+def _sparse_supports():
+    """SPARSE_TRIALS random partitions of supports within [60], seeded."""
+    rng = random.Random(SPARSE_SEED)
+    for _ in range(SPARSE_TRIALS):
+        size = rng.randint(1, 60)
+        supp = tuple(sorted(rng.sample(range(1, 61), size)))
+        yield {"support": supp, "p": random_partition(supp, rng)}
+
+
 def _fixed_checks() -> dict:
-    """Small pinned cases that do not scale with the sweep bounds.
+    """Each row of _FIXED_TABLE on each of its cases: small pinned cases
+    that do not scale with the sweep bounds.
 
     A pure task like a shard: returns its failures and its
     (id, scope, items) rows.
     """
     fails: dict[str, list] = {}
-    # Round trips over every partition of every small sparse support.
-    items = 0
-    for supp in chain.from_iterable(combinations(range(1, 9), k) for k in range(7)):
-        for p in iter_set_partitions_of(supp):
+    rows = []
+    for inv, scope, cases, check in _FIXED_TABLE:
+        items = 0
+        for case in cases():
             items += 1
-            why = _outcome(
-                lambda: combine_is(separate_is(p)) == p
-                and combine_st(separate_st(p)) == p
-                and phi_inverse(q := phi(p)) == p
-                and q.support == p.support
-            )
-            if why is not None:
-                _fail(fails, "subset-support-roundtrip", f"support={supp} p={format_partition(p)}{why}")
-
-    # Randomized sparse supports, deterministic seed.
-    rng = random.Random(SPARSE_SEED)
-    for _ in range(SPARSE_TRIALS):
-        size = rng.randint(1, 60)
-        supp = tuple(sorted(rng.sample(range(1, 61), size)))
-        p = random_partition(supp, rng)
-        why = _outcome(
-            lambda: len((prof := adjacency_profile(p)).initiators) == len(prof.terminators)
-            and (qprof := adjacency_profile(q := phi(p))).singletons == prof.initiators
-            and qprof.terminators == prof.singletons
-            and q.support == p.support
-            and phi_inverse(q) == p
-        )
-        if why is not None:
-            _fail(fails, "sparse-random-spot", f"support={supp} p={format_partition(p)}{why}")
-
-    # One-element support: the element is initiator, terminator and
-    # singleton at once, and counts one adjacency.  The combine domain
-    # takes an element as both only while it is the whole universe.
-    for a in (1, 7, 60):
-        p = SetPartition(((a,),))
-        one = frozenset({a})
-        beside = SetPartition(((a + 1,),))
-        why = _outcome(
-            lambda: (prof := adjacency_profile(p)).initiators == one
-            and prof.terminators == one
-            and prof.singletons == one
-            and prof.adjacency_count == 1
-            and phi(p) == p
-            and not combine_domain_ok(SeparationRecord(beside, one, one, ROLE_IS))
-            and (a != 1 or conjugate(p, 1) == p)
-        )
-        if why is not None:
-            _fail(fails, "one-element-convention", f"a={a}{why}")
-
-    # n=1 composition: (mu, nu) = (0, 1) and conjugation does NOT swap.
-    c1 = Composition((1,))
-
-    def n1_stats():
-        return (mu(c1), nu(c1)), (mu(conjugate_composition(c1)), nu(conjugate_composition(c1)))
-
-    why = _outcome(
-        lambda: n1_stats() == ((0, 1), (0, 1))
-        and conjugate_composition(c1) == c1
-        and (mu_path(to_path(c1)), nu_path(to_path(c1))) == (0, 0)
-    )
-    if why is not None:
-        _fail(fails, "mu-nu-n1-exception", why[1:] or "stats={} conj_stats={}".format(*n1_stats()))
-
-    # Empty partition is a fixed point everywhere it is legal.
-    why = _outcome(
-        lambda: phi(EMPTY) == EMPTY
-        and phi_inverse(EMPTY) == EMPTY
-        and reduce_core(EMPTY) == EMPTY
-        and kreweras_complement(EMPTY) == EMPTY
-        and not (prof := adjacency_profile(EMPTY)).initiators
-        and not prof.singletons
-        and prof.adjacency_count == 0
-        and str(EMPTY) == ""
-        and parse_partition("") == EMPTY
-    )
-    if why is not None:
-        _fail(fails, "empty-partition-fixed-point", why[1:] or None)
-    rows = [
-        ("subset-support-roundtrip", "partitions of every support within [8], size <= 6", items),
-        (
-            "sparse-random-spot",
-            f"{SPARSE_TRIALS} random partitions, supports within [60]",
-            SPARSE_TRIALS,
-        ),
-        ("one-element-convention", "supports {1}, {7}, {60}", 3),
-        ("mu-nu-n1-exception", "the single composition of 1", 1),
-        ("empty-partition-fixed-point", "the empty partition", 1),
-    ]
+            _run(((inv, check),), case, fails, _case_text)
+        rows.append((inv, scope, items))
     return {"fails": fails, "rows": rows}
 
 
 # Scopes: (text before the bound, per-n tally that each n adds to the
-# item count, least n).  A None tally counts the n itself.
-_PARTITIONS = ("partitions of [n], ", "count", 1)
-_NONCROSSING = ("noncrossing partitions, ", "nc", 1)
-_COMPOSITIONS = ("compositions of ", "count", 1)
-_COMPOSITIONS_2 = ("compositions of ", "count", 2)
-_EACH = ("each ", None, 1)
-_EACH_2 = ("each ", None, 2)
+# item count, least n, what the check reads).  A None tally counts the n
+# itself.  A check reads one item's context ("item"), one noncrossing
+# partition's ("nc"), or the totals of one n ("n").
+_PARTITIONS = ("partitions of [n], ", "count", 1, "item")
+_NONCROSSING = ("noncrossing partitions, ", "nc", 1, "nc")
+_PARTITION_SET = ("partitions of [n], ", "count", 1, "n")
+_COMPOSITIONS = ("compositions of ", "count", 1, "item")
+_COMPOSITIONS_2 = ("compositions of ", "count", 2, "item")
+_COMPOSITION_SET = ("compositions of ", "count", 1, "n")
+_EACH = ("each ", None, 1, "n")
+_EACH_2 = ("each ", None, 2, "n")
 
-# (invariant id, scope, largest n) in report order.
+# (invariant id, scope, largest n, check) in report order.  The shard
+# runs the item rows in this order, and the noncrossing rows after them.
 _PARTITION_TABLE = (
-    ("balance", _PARTITIONS, N_MAX_HARD),
-    ("parse-format-roundtrip", _PARTITIONS, PARSE_CAP),
-    ("complement-involution", _PARTITIONS, N_MAX_HARD),
-    ("complement-role-swap", _PARTITIONS, N_MAX_HARD),
-    ("separate-records-in-domain", _PARTITIONS, N_MAX_HARD),
-    ("separate-combine-roundtrip", _PARTITIONS, N_MAX_HARD),
-    ("combine-domain-role-symmetry", _PARTITIONS, N_MAX_HARD),
-    ("phi-support-preserved", _PARTITIONS, N_MAX_HARD),
-    ("phi-statistic-interchange", _PARTITIONS, N_MAX_HARD),
-    ("phi-inverse-identity", _PARTITIONS, N_MAX_HARD),
-    ("phi-injective-image", _PARTITIONS, IMAGE_CAP),
-    ("phi-trace-agreement", _PARTITIONS, TRACE_CAP),
-    ("reverse-phase-exactness", _PARTITIONS, TRACE_CAP),
-    ("trace-record-inverse", _PARTITIONS, TRACE_CAP),
-    ("conjugate-involution", _PARTITIONS, N_MAX_HARD),
-    ("conjugate-interchange", _PARTITIONS, N_MAX_HARD),
-    ("nc-core-characterization", _PARTITIONS, N_MAX_HARD),
-    ("nc-closure", _NONCROSSING, N_MAX_HARD),
-    ("nc-graphical-phi", _NONCROSSING, N_MAX_HARD),
-    ("nc-graphical-conjugate", _NONCROSSING, N_MAX_HARD),
-    ("nc-conjugation-involution", _NONCROSSING, N_MAX_HARD),
-    ("kreweras-double-rotation", _NONCROSSING, N_MAX_HARD),
-    ("kreweras-union-maximal", _NONCROSSING, UNION_CAP),
-    ("sing-adj-distribution-symmetric", _EACH, N_MAX_HARD),
-    ("enum-bell-count", _EACH, N_MAX_HARD),
-    ("enum-catalan-count", _EACH, N_MAX_HARD),
+    ("balance", _PARTITIONS, N_MAX_HARD, _balance),
+    ("parse-format-roundtrip", _PARTITIONS, PARSE_CAP, _parse_format_roundtrip),
+    ("complement-involution", _PARTITIONS, N_MAX_HARD, _complement_involution),
+    ("complement-role-swap", _PARTITIONS, N_MAX_HARD, _complement_role_swap),
+    ("separate-records-in-domain", _PARTITIONS, N_MAX_HARD, _separate_records_in_domain),
+    ("separate-combine-roundtrip", _PARTITIONS, N_MAX_HARD, _separate_combine_roundtrip),
+    ("combine-domain-role-symmetry", _PARTITIONS, N_MAX_HARD, _combine_domain_role_symmetry),
+    ("phi-support-preserved", _PARTITIONS, N_MAX_HARD, _phi_support_preserved),
+    ("phi-statistic-interchange", _PARTITIONS, N_MAX_HARD, _phi_statistic_interchange),
+    ("phi-inverse-identity", _PARTITIONS, N_MAX_HARD, _phi_inverse_identity),
+    ("phi-injective-image", _PARTITION_SET, IMAGE_CAP, _phi_injective_image),
+    ("phi-trace-agreement", _PARTITIONS, TRACE_CAP, _phi_trace_agreement),
+    ("reverse-phase-exactness", _PARTITIONS, TRACE_CAP, _reverse_phase_exactness),
+    ("trace-record-inverse", _PARTITIONS, TRACE_CAP, _trace_record_inverse),
+    ("conjugate-involution", _PARTITIONS, N_MAX_HARD, _conjugate_involution),
+    ("conjugate-interchange", _PARTITIONS, N_MAX_HARD, _conjugate_interchange),
+    ("nc-core-characterization", _PARTITIONS, N_MAX_HARD, _nc_core_characterization),
+    ("nc-closure", _NONCROSSING, N_MAX_HARD, _nc_closure),
+    ("nc-graphical-phi", _NONCROSSING, N_MAX_HARD, _nc_graphical_phi),
+    ("nc-graphical-conjugate", _NONCROSSING, N_MAX_HARD, _nc_graphical_conjugate),
+    ("nc-conjugation-involution", _NONCROSSING, N_MAX_HARD, _nc_conjugation_involution),
+    ("kreweras-double-rotation", _NONCROSSING, N_MAX_HARD, _kreweras_double_rotation),
+    ("kreweras-union-maximal", _NONCROSSING, UNION_CAP, _kreweras_union_maximal),
+    ("sing-adj-distribution-symmetric", _EACH, N_MAX_HARD, _sing_adj_distribution_symmetric),
+    ("enum-bell-count", _EACH, N_MAX_HARD, _enum_bell_count),
+    ("enum-catalan-count", _EACH, N_MAX_HARD, _enum_catalan_count),
 )
 
 _COMPOSITION_TABLE = (
-    ("comp-conjugate-involution", _COMPOSITIONS, COMP_N_MAX_HARD),
-    ("comp-length-law", _COMPOSITIONS, COMP_N_MAX_HARD),
-    ("comp-strip-agreement", _COMPOSITIONS, COMP_N_MAX_HARD),
-    ("comp-mu-nu-interchange", _COMPOSITIONS_2, COMP_N_MAX_HARD),
-    ("comp-path-agreement", _COMPOSITIONS_2, COMP_N_MAX_HARD),
-    ("comp-path-flip-duality", _COMPOSITIONS_2, COMP_N_MAX_HARD),
-    ("comp-sorted-palindrome", _COMPOSITIONS, PALINDROME_CAP),
-    ("comp-subset-lex-order", _COMPOSITIONS, SUBSET_LEX_CAP),
-    ("mu-nu-distribution-symmetric", _EACH_2, COMP_N_MAX_HARD),
-    ("enum-composition-count", _EACH, COMP_N_MAX_HARD),
+    ("comp-conjugate-involution", _COMPOSITIONS, COMP_N_MAX_HARD, _comp_conjugate_involution),
+    ("comp-length-law", _COMPOSITIONS, COMP_N_MAX_HARD, _comp_length_law),
+    ("comp-strip-agreement", _COMPOSITIONS, COMP_N_MAX_HARD, _comp_strip_agreement),
+    ("comp-mu-nu-interchange", _COMPOSITIONS_2, COMP_N_MAX_HARD, _comp_mu_nu_interchange),
+    ("comp-path-agreement", _COMPOSITIONS_2, COMP_N_MAX_HARD, _comp_path_agreement),
+    ("comp-path-flip-duality", _COMPOSITIONS_2, COMP_N_MAX_HARD, _comp_path_flip_duality),
+    ("comp-sorted-palindrome", _COMPOSITION_SET, PALINDROME_CAP, _comp_sorted_palindrome),
+    ("comp-subset-lex-order", _COMPOSITION_SET, SUBSET_LEX_CAP, _comp_subset_lex_order),
+    ("mu-nu-distribution-symmetric", _EACH_2, COMP_N_MAX_HARD, _mu_nu_distribution_symmetric),
+    ("enum-composition-count", _EACH, COMP_N_MAX_HARD, _enum_composition_count),
 )
+
+# (invariant id, scope, cases, check) in report order: each case is a
+# dict of the fields that its counterexample names.
+_FIXED_TABLE = (
+    ("subset-support-roundtrip", "partitions of every support within [8], size <= 6",
+     _small_supports, _subset_support_roundtrip),
+    ("sparse-random-spot", f"{SPARSE_TRIALS} random partitions, supports within [60]",
+     _sparse_supports, _sparse_random_spot),
+    ("one-element-convention", "supports {1}, {7}, {60}",
+     lambda: ({"a": a} for a in (1, 7, 60)), _one_element_convention),
+    ("mu-nu-n1-exception", "the single composition of 1",
+     lambda: ({},), _mu_nu_n1_exception),
+    ("empty-partition-fixed-point", "the empty partition",
+     lambda: ({},), _empty_partition_fixed_point),
+)  # fmt: skip
 
 
 def _table_rows(table, tallies: dict[int, dict], n_max: int) -> list[tuple[str, str, int]]:
     """(id, scope string, items) for each row of an invariant table;
     tallies maps each n to its sweep totals."""
     rows = []
-    for inv, (text, tally, least), cap in table:
+    for inv, (text, tally, least, _), cap, _ in table:
         hi = min(n_max, cap)
         low = f"{least} <= " if least > 1 else ""
         items = sum(tallies[n][tally] if tally else 1 for n in range(least, hi + 1))
@@ -705,36 +876,15 @@ def verify_suite(n_max: int = 10, comp_n_max: int = 16, jobs: int = 1) -> Verify
     fails: dict[str, list] = {}
     per_n: dict[int, dict] = {}
     for (n, _prefix), out in zip(shards, shard_outs):
-        agg = per_n.setdefault(n, {"count": 0, "nc": 0, "dist": Counter(), "images": []})
-        agg["count"] += out["count"]
-        agg["nc"] += out["nc"]
-        agg["dist"].update(out["dist"])
-        agg["images"].append(out["image"] or ())
+        totals = per_n.setdefault(n, {"n": n, "count": 0, "nc": 0, "dist": Counter(), "images": []})
+        totals["count"] += out["count"]
+        totals["nc"] += out["nc"]
+        totals["dist"].update(out["dist"])
+        totals["images"].append(out["image"] or ())
         for inv, (cnt, ce) in out["fails"].items():
             _fail(fails, inv, ce, cnt)
-
-    for n, agg in per_n.items():
-        if agg["count"] != bell_number(n):
-            _fail(fails, "enum-bell-count", f"n={n} count={agg['count']} expected={bell_number(n)}")
-        if agg["nc"] != catalan_number(n):
-            _fail(
-                fails, "enum-catalan-count", f"n={n} count={agg['nc']} expected={catalan_number(n)}"
-            )
-        if n <= IMAGE_CAP:
-            # Each shard's keys are sorted and distinct: merged, equal
-            # keys from different shards sit next to each other.
-            image = sum(1 for _ in groupby(heapq.merge(*agg["images"])))
-            if image != agg["count"]:
-                _fail(fails, "phi-injective-image", f"n={n} image={image} of {agg['count']}")
-        dist = agg["dist"]
-        asym = _asymmetric_pair(dist)
-        if asym is not None:
-            _fail(
-                fails,
-                "sing-adj-distribution-symmetric",
-                f"n={n} pair {asym}: {dist[asym]} vs {dist[asym[1], asym[0]]}",
-            )
-
+    for n, totals in per_n.items():
+        _run(_checks(_PARTITION_TABLE, n, "n"), totals, fails, _n_text)
     for out in comp_outs + [fixed]:
         for inv, (cnt, ce) in out["fails"].items():
             _fail(fails, inv, ce, cnt)

@@ -309,17 +309,6 @@ class TestWorklist:
             phi_inverse(p)
         assert len(worklist_calls) < len(all_partitions(7)) // 100
 
-    def test_default_budget_sends_36_strips_of_n_le_9_to_the_worklist(self, worklist_calls):
-        # The budget alone decides where a strip hands off, so the strips
-        # of the exhaustive sweeps that reach the worklist are exactly these.
-        strips = 0
-        for n in range(1, 10):
-            for p in all_partitions(n):
-                phi(p)
-                phi_inverse(p)
-                strips += 2
-        assert (len(worklist_calls), strips) == (36, 52_884)
-
     def test_default_budget_sends_the_same_76_strips_of_n_le_10_to_the_worklist(
         self, worklist_calls
     ):

@@ -1,4 +1,3 @@
-import ast
 from collections import Counter
 import concurrent.futures
 from concurrent.futures import Future
@@ -7,6 +6,7 @@ import importlib
 import json
 import multiprocessing
 from pathlib import Path
+import re
 
 import pytest
 
@@ -29,6 +29,8 @@ verify_module = importlib.import_module("conjlab.verify")
 
 # Pinned outputs of the benchmark, read-only here.
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
+TABLES = (verify_module._PARTITION_TABLE, verify_module._COMPOSITION_TABLE, verify_module._FIXED_TABLE)
 
 
 def corrupted_reinsert(tau, a, b):
@@ -93,23 +95,6 @@ class TestSuitePasses:
             assert rec["failures"] == 0
             assert rec["counterexample"] is None
 
-    def test_every_failing_id_is_a_report_row(self):
-        # The report reads failures only under its own row ids, so a
-        # check that names an undeclared id would be dropped unseen.
-        named = set()
-        for node in ast.walk(ast.parse(Path(verify_module.__file__).read_text())):
-            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["row"]:
-                value = node.value
-            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_fail":
-                value = node.args[1]
-            else:
-                continue
-            if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                named.add(value.value)
-        rows = [r.invariant for r in verify_suite(1, 1).results]
-        assert len(rows) == len(set(rows)) == 41
-        assert named == set(rows)
-
     def test_bounds_validated(self):
         with pytest.raises(DomainError):
             verify_suite(n_max=13)
@@ -117,6 +102,146 @@ class TestSuitePasses:
             verify_suite(n_max=4, comp_n_max=21)
         with pytest.raises(DomainError):
             verify_suite(n_max=0)
+
+
+class TestTables:
+    """Each invariant is one table row: its id, scope, cap (or cases) and
+    check appear once, and the report reads failures only under those ids."""
+
+    def test_ids_are_unique_and_are_the_report_rows(self):
+        ids = [row[0] for table in TABLES for row in table]
+        assert len(ids) == len(set(ids)) == 41
+        assert ids == [r.invariant for r in verify_suite(1, 1).results]
+
+    def test_every_row_has_a_check_with_a_docstring(self):
+        for table in TABLES:
+            for inv, _scope, _cap, check in table:
+                assert callable(check), inv
+                assert check.__doc__ and check.__doc__.strip(), inv
+
+    def test_readme_lists_each_id_with_its_claim(self):
+        # The claim is the first line of the check's docstring.
+        section = README.read_text().split("\n## Verification\n", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^- `([a-z0-9-]+)`: (.+)$", section, re.M)
+        want = [(row[0], row[3].__doc__.strip().splitlines()[0]) for table in TABLES for row in table]
+        assert listed == want
+
+
+def patch_checks(monkeypatch, name, wraps):
+    """Replace, in verify's table name, the check of each id in wraps by
+    wraps[id](the real check)."""
+    table = getattr(verify_module, name)
+    new = tuple((*row[:3], wraps[row[0]](row[3])) if row[0] in wraps else row for row in table)
+    monkeypatch.setattr(verify_module, name, new)
+
+
+def raises_when(cond):
+    """A check that raises ValueError on the contexts where cond holds and
+    is the real check elsewhere."""
+
+    def wrap(real):
+        def check(x):
+            if cond(x):
+                raise ValueError("planted")
+            return real(x)
+
+        return check
+
+    return wrap
+
+
+def always_fails(real):
+    """The real check, run for what it fills in, then failed."""
+    return lambda x: real(x) or ""
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+class TestRaisingCheck:
+    """In every family a check that raises fails its own id, naming the
+    exception type, and skips the later checks of its item alone."""
+
+    @staticmethod
+    def failing(jobs, n_max, comp_n_max):
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked workers inherit the patched table")
+        report = verify_suite(n_max, comp_n_max, jobs=jobs)
+        return {r.invariant: (r.failures, r.counterexample) for r in report.results if not r.ok}
+
+    def test_partition_item(self, monkeypatch, jobs):
+        # Raises on the one-block partition of each n, which is noncrossing:
+        # its later rows and its noncrossing rows are skipped, and the
+        # tallies, taken first, stay whole.  (A raise before phi's row would
+        # leave p's image out, failing phi-injective-image as well.)
+        patch_checks(
+            monkeypatch,
+            "_PARTITION_TABLE",
+            {
+                "conjugate-interchange": raises_when(lambda x: len(x.sizes) == 1),
+                "nc-core-characterization": always_fails,
+                "nc-closure": always_fails,
+            },
+        )
+        assert self.failing(jobs, 5, 2) == {
+            "conjugate-interchange": (5, "n=1 p=1 raised ValueError"),
+            "nc-core-characterization": (75 - 5, "n=2 p=1 - 2"),
+            "nc-closure": (64 - 5, "n=2 p=1 - 2"),
+        }
+
+    def test_composition_item(self, monkeypatch, jobs):
+        patch_checks(
+            monkeypatch,
+            "_COMPOSITION_TABLE",
+            {
+                "comp-length-law": raises_when(lambda x: len(x.c.parts) == 1),
+                "comp-strip-agreement": always_fails,
+            },
+        )
+        assert self.failing(jobs, 1, 5) == {
+            "comp-length-law": (5, "n=1 c=1 raised ValueError"),
+            "comp-strip-agreement": (31 - 5, "n=2 c=1,1"),
+        }
+
+    def test_per_n(self, monkeypatch, jobs):
+        patch_checks(
+            monkeypatch,
+            "_PARTITION_TABLE",
+            {
+                "sing-adj-distribution-symmetric": raises_when(lambda t: t["n"] == 2),
+                "enum-bell-count": always_fails,
+            },
+        )
+        patch_checks(
+            monkeypatch,
+            "_COMPOSITION_TABLE",
+            {
+                "comp-sorted-palindrome": raises_when(lambda t: t["n"] == 3),
+                "mu-nu-distribution-symmetric": always_fails,
+            },
+        )
+        assert self.failing(jobs, 4, 4) == {
+            "sing-adj-distribution-symmetric": (1, "n=2 raised ValueError"),
+            "enum-bell-count": (3, "n=1"),
+            "comp-sorted-palindrome": (1, "n=3 raised ValueError"),
+            "mu-nu-distribution-symmetric": (2, "n=2"),
+        }
+
+    def test_fixed(self, monkeypatch, jobs):
+        # A fixed case holds one check, so a raise skips nothing else; a
+        # case without fields names only the exception.
+        patch_checks(
+            monkeypatch,
+            "_FIXED_TABLE",
+            {
+                "one-element-convention": raises_when(lambda case: case["a"] == 7),
+                "mu-nu-n1-exception": always_fails,
+                "empty-partition-fixed-point": raises_when(lambda case: True),
+            },
+        )
+        assert self.failing(jobs, 1, 1) == {
+            "one-element-convention": (1, "a=7 raised ValueError"),
+            "mu-nu-n1-exception": (1, None),
+            "empty-partition-fixed-point": (1, "raised ValueError"),
+        }
 
 
 def assert_pinned_tiny_report(jobs):
