@@ -1,24 +1,18 @@
-"""The handlers of the commands other than phi, conjugate and complement.
+"""The handlers of the commands other than phi, conjugate and complement,
+and the caps on their inputs.
 
 ``cli.main`` imports this module only when one of these commands runs.
 Without cached bytecode every module that a call imports is compiled on
 that call, so a map command, which runs none of this code, does not pay
-to compile it.
+to compile it.  Each handler returns (exit code, payload, text) for
+``cli.main`` to print.
 """
 
 from __future__ import annotations
 
 import sys
 
-from .cli import (
-    COMPOSITION_N_CAP,
-    ENUM_BELL_CAP,
-    EXIT_OK,
-    EXIT_USAGE,
-    EXIT_VERIFY,
-    TRACE_N_CAP,
-    _emit,
-)
+from .cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY
 from .errors import DomainError
 from .partition import (
     _complement,
@@ -28,8 +22,21 @@ from .partition import (
     partition_to_blocks,
 )
 
+# Largest --n of a plain Bell count.  B(n) takes O(n^2) big-integer
+# additions, and str() refuses more than 4,300 digits (B(2500) has more);
+# B(1000) has 1,928 digits.
+ENUM_BELL_CAP = 1000
+# Largest n of a composition given to comp and render path.  Their output
+# grows with n: the path has n - 1 steps, and the dot diagram of (2, ..., 2)
+# holds about n^2 / 8 characters (0.5 MB at the cap).
+COMPOSITION_N_CAP = 2000
+# Largest number of elements of a partition given to trace.  phi_trace
+# keeps every row, so a nested input of m elements costs O(m^2) memory:
+# a rainbow of 1,000 elements peaks near 75 MB and prints 4 MB.
+TRACE_N_CAP = 1000
 
-def cmd_trace(args, use_json: bool) -> int:
+
+def cmd_trace(args) -> tuple:
     from .render import render_trace, trace_to_dict
     from .separate import phi_trace
 
@@ -40,11 +47,10 @@ def cmd_trace(args, use_json: bool) -> int:
     trace = phi_trace(p)
     payload = {"input": partition_to_blocks(p)}
     payload.update(trace_to_dict(trace))
-    _emit(use_json, payload, render_trace(trace))
-    return EXIT_OK
+    return EXIT_OK, payload, render_trace(trace)
 
 
-def cmd_kreweras(args, use_json: bool) -> int:
+def cmd_kreweras(args) -> tuple:
     from .noncrossing import format_gaps, kreweras_complement
 
     p = parse_partition(args.partition)
@@ -66,8 +72,7 @@ def cmd_kreweras(args, use_json: bool) -> int:
             f"conjugate: {format_partition(gc)}",
         ]
     )
-    _emit(use_json, payload, text)
-    return EXIT_OK
+    return EXIT_OK, payload, text
 
 
 def _capped_composition(text: str):
@@ -83,7 +88,7 @@ def _capped_composition(text: str):
     return c
 
 
-def cmd_comp(args, use_json: bool) -> int:
+def cmd_comp(args) -> tuple:
     from .compositions import (
         conjugate_composition,
         format_composition,
@@ -97,11 +102,8 @@ def cmd_comp(args, use_json: bool) -> int:
     c = _capped_composition(args.composition)
     if args.action == "conjugate":
         d = conjugate_composition(c)
-        _emit(
-            use_json,
-            {"input": list(c.parts), "conjugate": list(d.parts)},
-            format_composition(d),
-        )
+        payload = {"input": list(c.parts), "conjugate": list(d.parts)}
+        text = format_composition(d)
     elif args.action == "stats":
         path = to_path(c)
         m, v = mu(c), nu(c)
@@ -112,39 +114,40 @@ def cmd_comp(args, use_json: bool) -> int:
                 "note: n=1 is the single case where part and path statistics"
                 " disagree"
             )
-        _emit(
-            use_json,
-            {
-                "parts": list(c.parts),
-                "mu": m,
-                "nu": v,
-                "path": path,
-                "path_mu": pm,
-                "path_nu": pv,
-                "n1_exception": c.n == 1,
-            },
-            "\n".join(lines),
-        )
+        payload = {
+            "parts": list(c.parts),
+            "mu": m,
+            "nu": v,
+            "path": path,
+            "path_mu": pm,
+            "path_nu": pv,
+            "n1_exception": c.n == 1,
+        }
+        text = "\n".join(lines)
     else:  # path
         from .render import render_path, render_path_ascii
 
-        _emit(
-            use_json,
-            {
-                "parts": list(c.parts),
-                "path": to_path(c),
-                "diagram": render_path_ascii(c),
-            },
-            render_path(c),
-        )
-    return EXIT_OK
+        payload = {
+            "parts": list(c.parts),
+            "path": to_path(c),
+            "diagram": render_path_ascii(c),
+        }
+        text = render_path(c)
+    return EXIT_OK, payload, text
+
+
+def _refuse_n_above(n: int, cap: int, what: str) -> None:
+    """Refuse an enumerate --n above cap, where what, such as "Bell numbers
+    are", names what is capped."""
+    if n > cap:
+        raise DomainError(f"{what} capped at n={cap}; rerun with --n {cap} or lower")
 
 
 def _format_table(counts: dict) -> list[str]:
     return [f"  ({s},{t}): {c}" for (s, t), c in sorted(counts.items())]
 
 
-def cmd_enumerate(args, use_json: bool) -> int:
+def cmd_enumerate(args) -> tuple:
     from .enumeration import (
         COMP_N_MAX_HARD,
         N_MAX_HARD,
@@ -158,23 +161,13 @@ def cmd_enumerate(args, use_json: bool) -> int:
     n = args.n
     if n < 1:
         print("conjlab enumerate: error: --n must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    needs_partitions = args.noncrossing or args.table == PAIR_SING_ADJ
-    if needs_partitions and n > N_MAX_HARD:
-        raise DomainError(
-            f"exhaustive partition enumeration is capped at n={N_MAX_HARD}; "
-            f"rerun with --n {N_MAX_HARD} or lower"
-        )
-    if args.table != PAIR_MU_NU and n > ENUM_BELL_CAP:
-        raise DomainError(
-            f"Bell numbers are capped at n={ENUM_BELL_CAP}; "
-            f"rerun with --n {ENUM_BELL_CAP} or lower"
-        )
-    if args.table == PAIR_MU_NU and n > COMP_N_MAX_HARD:
-        raise DomainError(
-            f"exhaustive composition enumeration is capped at n={COMP_N_MAX_HARD}; "
-            f"rerun with --n {COMP_N_MAX_HARD} or lower"
-        )
+        return EXIT_USAGE, None, None
+    if args.noncrossing or args.table == PAIR_SING_ADJ:
+        _refuse_n_above(n, N_MAX_HARD, "exhaustive partition enumeration is")
+    if args.table != PAIR_MU_NU:
+        _refuse_n_above(n, ENUM_BELL_CAP, "Bell numbers are")
+    else:
+        _refuse_n_above(n, COMP_N_MAX_HARD, "exhaustive composition enumeration is")
 
     payload: dict = {"n": n}
     lines: list[str] = []
@@ -206,36 +199,31 @@ def cmd_enumerate(args, use_json: bool) -> int:
             "symmetric": symmetric,
         }
 
-    _emit(use_json, payload, "\n".join(lines))
-    return EXIT_OK if symmetric else EXIT_VERIFY
+    return EXIT_OK if symmetric else EXIT_VERIFY, payload, "\n".join(lines)
 
 
-def cmd_verify(args, use_json: bool) -> int:
+def cmd_verify(args) -> tuple:
     if args.n_max < 1 or args.comp_n_max < 1 or args.jobs < 1:
         print(
             "conjlab verify: error: --n-max, --comp-n-max and --jobs must be >= 1",
             file=sys.stderr,
         )
-        return EXIT_USAGE
+        return EXIT_USAGE, None, None
     from .verify import verify_suite
 
     report = verify_suite(
         n_max=args.n_max, comp_n_max=args.comp_n_max, jobs=args.jobs
     )
-    _emit(
-        use_json,
-        {
-            "n_max": report.n_max,
-            "comp_n_max": report.comp_n_max,
-            "ok": report.ok,
-            "results": report.to_records(),
-        },
-        report.render(),
-    )
-    return EXIT_OK if report.ok else EXIT_VERIFY
+    payload = {
+        "n_max": report.n_max,
+        "comp_n_max": report.comp_n_max,
+        "ok": report.ok,
+        "results": report.to_records(),
+    }
+    return EXIT_OK if report.ok else EXIT_VERIFY, payload, report.render()
 
 
-def cmd_render(args, use_json: bool) -> int:
+def cmd_render(args) -> tuple:
     from .render import render_partition_svg, render_path
 
     if args.kind == "partition":
@@ -243,10 +231,8 @@ def cmd_render(args, use_json: bool) -> int:
         content = render_partition_svg(p, inferred_n(p), ccw=args.ccw)
     else:  # path
         content = render_path(_capped_composition(args.text)) + "\n"
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        _emit(use_json, {"out": args.out, "bytes": len(content)}, f"wrote {args.out}")
-    else:
-        _emit(use_json, {"content": content}, content.rstrip("\n"))
-    return EXIT_OK
+    if args.out is None:
+        return EXIT_OK, {"content": content}, content.rstrip("\n")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(content)
+    return EXIT_OK, {"out": args.out, "bytes": len(content)}, f"wrote {args.out}"

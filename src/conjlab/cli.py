@@ -21,6 +21,13 @@ output.  ``--json`` (global or per command) switches to structured output.
 Exit codes: 0 success, 1 parse/usage error, 2 domain error (including an
 input above its cap), 3 verification or symmetry failure, 4 I/O error.
 
+A handler computes and prints nothing: it takes the parsed arguments and
+returns (exit code, payload, text).  ``main`` alone prints, the payload
+as JSON under ``--json`` and the text otherwise, so a failed write of
+stdout is an I/O error like any other.  A usage error that a handler
+finds prints its own message and returns (1, None, None), and ``main``
+prints nothing more.
+
 One call loads only what its command runs.  Importing this module loads
 ``conjlab``, ``errors``, ``partition`` and ``phi``, which is all that
 phi, conjugate and complement need.  The other commands' handlers live in
@@ -33,6 +40,7 @@ the code that the call never runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import DomainError, ParseError
@@ -45,18 +53,6 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
 
-# Largest --n of a plain Bell count.  B(n) takes O(n^2) big-integer
-# additions, and str() refuses more than 4,300 digits (B(2500) has more);
-# B(1000) has 1,928 digits.
-ENUM_BELL_CAP = 1000
-# Largest n of a composition given to comp and render path.  Their output
-# grows with n: the path has n - 1 steps, and the dot diagram of (2, ..., 2)
-# holds about n^2 / 8 characters (0.5 MB at the cap).
-COMPOSITION_N_CAP = 2000
-# Largest number of elements of a partition given to trace.  phi_trace
-# keeps every row, so a nested input of m elements costs O(m^2) memory:
-# a rainbow of 1,000 elements peaks near 75 MB and prints 4 MB.
-TRACE_N_CAP = 1000
 # The --table choices, enumeration's PAIR_SING_ADJ and PAIR_MU_NU, spelled
 # out so that building the parser does not import enumeration.
 TABLE_PAIRS = ("sing-adj", "mu-nu")
@@ -71,15 +67,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(use_json: bool, payload: dict, text: str) -> None:
-    if use_json:
-        import json
-
-        print(json.dumps(payload))
-    else:
-        print(text)
-
-
 # The one-partition maps: each prints the image of its argument, and
 # checks that its support is 1..n itself.
 _MAPS = {
@@ -89,15 +76,14 @@ _MAPS = {
 }
 
 
-def cmd_map(args, use_json: bool) -> int:
+def cmd_map(args) -> tuple:
     p = parse_partition(args.partition)
     q = _MAPS[args.command](p)
-    _emit(
-        use_json,
+    return (
+        EXIT_OK,
         {"input": partition_to_blocks(p), "result": partition_to_blocks(q)},
         format_partition(q),
     )
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -186,9 +172,17 @@ def _handler(command: str):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    use_json = getattr(args, "json", False)
     try:
-        return _handler(args.command)(args, use_json)
+        code, payload, text = _handler(args.command)(args)
+        if text is not None:
+            if getattr(args, "json", False):
+                import json
+
+                text = json.dumps(payload)
+            # Flushed here, so that a failed write is this try's OSError
+            # even when stdout is buffered.
+            print(text, flush=True)
+        return code
     except ParseError as exc:
         print(f"conjlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -201,4 +195,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    if code == EXIT_IO:
+        # A failed write leaves its bytes in stdout's buffer, and the
+        # interpreter's flush at exit would fail on them again and exit
+        # 120: they go to the null device instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    sys.exit(code)

@@ -277,18 +277,19 @@ def _trace_tail(rho: SetPartition) -> tuple:
 class _Item:
     """What the checks of one partition p of [n] read, filled eagerly.
 
-    The shard sets n, the trace-tail cache and the phi image set (None
-    above IMAGE_CAP) once.  Per partition it sets p, its growth string g
-    and block sizes, its profile (initiators, terminators, singletons) and
-    whether it is noncrossing (nc).  Each check sets what a later one
-    reads, a partition as a (growth string, block sizes) pair: comp, the
-    complement; step, the separate_is record, with back and back_st, the
-    combines of both records; phi and the core of its strip; verdict, the
-    trace verdict of _with_step; conj, the conjugate, involutive and swaps,
-    its two laws; gaps, the Kreweras complement of a noncrossing p.
+    The shard sets n, the trace-tail cache, the phi image set (None
+    above IMAGE_CAP) and filed, the number of images filed in it, once.
+    Per partition it sets p, its growth string g and block sizes, its
+    profile (initiators, terminators, singletons) and whether it is
+    noncrossing (nc).  Each check sets what a later one reads, a partition
+    as a (growth string, block sizes) pair: comp, the complement; step,
+    the separate_is record, with back and back_st, the combines of both
+    records; phi and the core of its strip; verdict, the trace verdict of
+    _with_step; conj, the conjugate, involutive and swaps, its two laws;
+    gaps, the Kreweras complement of a noncrossing p.
     """
 
-    __slots__ = ("n", "tails", "image", "p", "g", "sizes", "profile", "nc", "comp", "step",
+    __slots__ = ("n", "tails", "image", "filed", "p", "g", "sizes", "profile", "nc", "comp", "step",
                  "back", "back_st", "phi", "core", "verdict", "conj", "involutive", "swaps", "gaps")
 
 
@@ -355,6 +356,7 @@ def _phi_support_preserved(x) -> str | None:
     qg = x.phi[0]
     if x.image is not None:
         x.image.add(bytes(qg))
+        x.filed += 1
     return "" if len(qg) != x.n + 1 else None
 
 
@@ -478,11 +480,14 @@ def _union_maximal(g, sizes, kg, ksizes) -> tuple[bool, str]:
 def _phi_injective_image(t) -> str | None:
     """phi is injective: the partitions of [n] have B(n) distinct images (§1).
 
-    Each shard's keys are sorted and distinct: merged, equal keys from
-    different shards sit next to each other.
+    The distinct images are compared with the images filed, not with the
+    partitions: a partition whose check raised before phi's row has no
+    image, and fails that row alone.  Each shard's keys are sorted and
+    distinct: merged, equal keys from different shards sit next to each
+    other.
     """
     image = sum(1 for _ in groupby(heapq.merge(*t["images"])))
-    return f" image={image} of {t['count']}" if image != t["count"] else None
+    return f" image={image} of {t['filed']}" if image != t["filed"] else None
 
 
 def _sing_adj_distribution_symmetric(t) -> str | None:
@@ -509,7 +514,8 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
 
     Returns a plain dict (picklable) with counts, failures keyed by
     invariant id, the phi images as a sorted list of distinct byte keys
-    (bytes of the growth string; None above IMAGE_CAP), and the
+    (bytes of the growth string; None above IMAGE_CAP) with filed, the
+    number of partitions whose image was filed, and the
     singleton/adjacency distribution tally.  The profile and the crossing
     scan that the tallies read come before any check, and a raise there
     fails the first row; the noncrossing rows run on noncrossing
@@ -522,7 +528,8 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
     nc_checks = _checks(_PARTITION_TABLE, n, "nc")
     image = set() if n <= IMAGE_CAP else None
     x = _Item()
-    x.n, x.tails, x.image = n, {}, image  # tails: remainder (support, view) -> its verdict
+    # tails: remainder (support, view) -> its verdict
+    x.n, x.tails, x.image, x.filed = n, {}, image, 0
     for p in iter_set_partitions(n, prefix):
         count += 1
         x.p = p
@@ -540,7 +547,8 @@ def partition_shard(n: int, prefix: tuple[int, ...] = ()) -> dict:
         if _run(checks, x, fails, _item_text) and nc:
             _run(nc_checks, x, fails, _item_text)
     image = None if image is None else sorted(image)
-    return {"count": count, "nc": nc_count, "fails": fails, "dist": dist, "image": image}
+    return {"count": count, "nc": nc_count, "fails": fails, "dist": dist, "image": image,
+            "filed": x.filed}
 
 
 class _Comp:
@@ -876,8 +884,11 @@ def verify_suite(n_max: int = 10, comp_n_max: int = 16, jobs: int = 1) -> Verify
     fails: dict[str, list] = {}
     per_n: dict[int, dict] = {}
     for (n, _prefix), out in zip(shards, shard_outs):
-        totals = per_n.setdefault(n, {"n": n, "count": 0, "nc": 0, "dist": Counter(), "images": []})
+        totals = per_n.setdefault(
+            n, {"n": n, "count": 0, "nc": 0, "dist": Counter(), "images": [], "filed": 0}
+        )
         totals["count"] += out["count"]
+        totals["filed"] += out["filed"]
         totals["nc"] += out["nc"]
         totals["dist"].update(out["dist"])
         totals["images"].append(out["image"] or ())

@@ -10,7 +10,8 @@ import hypothesis.strategies as st
 import pytest
 
 from conjlab import ParseError, bell_number, canonicalize, parse_composition, parse_partition, phi
-from conjlab.cli import COMPOSITION_N_CAP, ENUM_BELL_CAP, TRACE_N_CAP, main
+from conjlab._commands import COMPOSITION_N_CAP, ENUM_BELL_CAP, TRACE_N_CAP
+from conjlab.cli import main
 
 from conftest import child_env
 
@@ -459,6 +460,33 @@ class TestModuleEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+class TestStdoutWriteError:
+    """A failed write of stdout is an I/O error, for a map command and a
+    command of _commands, in text and JSON, with stdout buffered or not."""
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("argv", [["phi", "1 3 - 2"], ["enumerate", "--n", "4"]], ids=["phi", "enumerate"])
+    def test_full_device_exits_four(self, argv, flags, buffered):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "conjlab", *flags, *argv],
+                env=env,
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("conjlab: error:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestDispatch:

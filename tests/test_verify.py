@@ -170,8 +170,7 @@ class TestRaisingCheck:
     def test_partition_item(self, monkeypatch, jobs):
         # Raises on the one-block partition of each n, which is noncrossing:
         # its later rows and its noncrossing rows are skipped, and the
-        # tallies, taken first, stay whole.  (A raise before phi's row would
-        # leave p's image out, failing phi-injective-image as well.)
+        # tallies, taken first, stay whole.
         patch_checks(
             monkeypatch,
             "_PARTITION_TABLE",
@@ -185,6 +184,19 @@ class TestRaisingCheck:
             "conjugate-interchange": (5, "n=1 p=1 raised ValueError"),
             "nc-core-characterization": (75 - 5, "n=2 p=1 - 2"),
             "nc-closure": (64 - 5, "n=2 p=1 - 2"),
+        }
+
+    def test_raise_before_phi(self, monkeypatch, jobs):
+        # A raise before phi's row leaves p without a phi image, and
+        # phi-injective-image counts only the images filed: the raise
+        # fails its own row alone.
+        patch_checks(
+            monkeypatch,
+            "_PARTITION_TABLE",
+            {"complement-role-swap": raises_when(lambda x: len(x.sizes) == 1)},
+        )
+        assert self.failing(jobs, 5, 2) == {
+            "complement-role-swap": (5, "n=1 p=1 raised ValueError"),
         }
 
     def test_composition_item(self, monkeypatch, jobs):
